@@ -237,7 +237,7 @@ def cmd_sweep(settings):
                          "--nt and --c-db cannot both be ranges")
     axes = SweepAxes(tuple(settings.nt), tuple(settings.rho_db),
                      tuple(settings.c_db))
-    result = run_sweep(settings.base_config(), axes, threads=settings.threads)
+    result = run_sweep(settings.base_config(), axes)
     c_axis_swept = len(settings.c_db) > 1
     tg_rows = []
     ps_rows = []
@@ -385,7 +385,8 @@ def build_parser():
     common.add_argument("--seed", help="RNG seed (fallback: FDBF_SEED, then 0)")
     common.add_argument("--grid-points", dest="grid_points",
                         help="alpha grid resolution for oracle searches")
-    common.add_argument("--threads", help="worker cap for channel drawing")
+    common.add_argument("--threads", help="accepted for old manifests; "
+                        "ignored (channel draws are batched)")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--config", help="flat key = value config file")
 

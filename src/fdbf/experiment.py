@@ -11,9 +11,10 @@ zero-forcing under identical transmit power:
     rho by construction.
 
 Sweeps share channel draws across every grid point that only differs in
-rho or c: per-trial RNG streams are keyed by trial index, so results are
-identical at any thread count, and the downlink/leakage geometry for a
-given (seed, trial, n_t) is drawn exactly once. Ratio averages use
+rho or c: per-trial RNG streams are keyed by trial index, the whole batch
+of streams is drawn in one vectorized pass that reproduces the per-trial
+draws bit for bit, and the downlink/leakage geometry for a given
+(seed, trial, n_t) is drawn exactly once. Ratio averages use
 compensated summation to stay order-insensitive at the 1e-12 level.
 
 Trials where zero-forcing is degenerate (downlink channel parallel to the
@@ -23,7 +24,6 @@ through a per-point counter.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -31,8 +31,9 @@ import numpy as np
 
 from . import kernels
 from .beamform import dl_rate, optimal, si_power, zf
-from .channel import db_to_linear, draw_realization, si_threshold
-from .numerics import RngState, inner, norm_sq
+from .channel import db_to_linear, draw_realization, ricean_params, si_threshold
+from .numerics import (RngState, box_muller, inner, norm_sq, philox_raw,
+                       uniforms)
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -147,49 +148,76 @@ def run_trial(cfg, trial_index):
                        ps_ratio=z.dl_gain / opt.dl_gain)
 
 
-def draw_batch(cfg, trials=None, threads=1):
+# raw words drawn per vectorized pass: keeps the temporaries of one pass
+# cache-sized and peak memory flat in the trial count
+_WORDS_PER_PASS = 1 << 16
+
+
+def _gaussian_columns(u, start, k, mean=0.0, std=1.0):
+    """CN(mean, std^2) rows from uniform columns start .. start + 2k.
+
+    Consumes k uniforms for u1 and then k for u2, the order in which
+    sample_complex_gaussian consumes a stream, and scales the same way.
+    """
+    u1 = 1.0 - u[:, start:start + k]
+    u2 = np.ascontiguousarray(u[:, start + k:start + 2 * k])
+    return complex(mean) + float(std) * box_muller(u1, u2)
+
+
+def draw_batch(cfg, trials=None):
     """Channel geometry for `trials` independent draws, one RNG stream each.
 
     Returns (h_d, a) of shape (trials, n_t): the downlink channels and the
-    effective leakage directions a = H^H v. Stream t is keyed by the trial
-    index, so the result does not depend on threads.
+    effective leakage directions a = H^H v. Row t is bit-identical to
+    draw_realization(cfg, RngState(cfg.seed, t)): the raw words of all
+    streams of a chunk come from one vectorized Philox pass and then go
+    through the per-trial path's operations in the same order, batched.
     """
     n = cfg.trials if trials is None else int(trials)
-    h_d = np.empty((n, cfg.n_t), dtype=np.complex128)
-    a = np.empty((n, cfg.n_t), dtype=np.complex128)
-
-    def fill(lo, hi):
-        for t in range(lo, hi):
-            r = draw_realization(cfg, RngState(cfg.seed, t))
+    n_r, n_t = cfg.n_r, cfg.n_t
+    mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
+    words = 2 * (n_r + n_t + n_r * n_t)
+    chunk = max(1, _WORDS_PER_PASS // words)
+    h_d = np.empty((n, n_t), dtype=np.complex128)
+    a = np.empty((n, n_t), dtype=np.complex128)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        u = uniforms(philox_raw(cfg.seed, np.arange(lo, hi), words))
+        h_u = _gaussian_columns(u, 0, n_r)
+        h_d[lo:hi] = _gaussian_columns(u, 2 * n_r, n_t)
+        H = _gaussian_columns(u, 2 * (n_r + n_t), n_r * n_t, mean, std)
+        with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
+            v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
+        H_adj = H.reshape(hi - lo, n_r, n_t).conj().transpose(0, 2, 1)
+        a[lo:hi] = np.matmul(H_adj, v[:, :, None])[:, :, 0]
+        # an all-zero h_u is redrawn from the same stream: replay that trial
+        for t in lo + np.flatnonzero(~np.any(h_u, axis=1)):
+            r = draw_realization(cfg, RngState(cfg.seed, int(t)))
             h_d[t] = r.h_d
             a[t] = r.effective_si_vector()
-
-    if threads <= 1 or n < 2:
-        fill(0, n)
-    else:
-        workers = min(int(threads), n)
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, bounds[k], bounds[k + 1])
-                       for k in range(workers)]
-            for f in futures:
-                f.result()
+    if not np.all(np.isfinite(h_d)):
+        raise ValueError("vector entries must be finite")
     return h_d, a
 
 
 def _mean_ci(values):
-    """(mean, 95% half-width) by compensated summation; (nan, nan) if empty."""
-    m = len(values)
+    """(mean, 95% half-width) by compensated summation; (nan, nan) if empty.
+
+    Works on Python floats: scalar `** 2` is libm pow, which an array
+    square does not reproduce bit for bit.
+    """
+    xs = values.tolist()
+    m = len(xs)
     if m == 0:
         return float("nan"), float("nan")
-    mean = math.fsum(values) / m
+    mean = math.fsum(xs) / m
     if m == 1:
         return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in values) / (m - 1)
+    var = math.fsum([(x - mean) ** 2 for x in xs]) / (m - 1)
     return mean, _Z95 * math.sqrt(var / m)
 
 
-def run_sweep(cfg, axes=None, threads=1):
+def run_sweep(cfg, axes=None):
     """Monte Carlo sweep over the (n_t, rho_db, c_db) grid.
 
     For each n_t the channel set is drawn once and reused across every
@@ -202,7 +230,7 @@ def run_sweep(cfg, axes=None, threads=1):
     points = []
     for n_t in axes.n_t:
         cfg_nt = cfg.replace(n_t=int(n_t))
-        h_d, a = draw_batch(cfg_nt, cfg.trials, threads)
+        h_d, a = draw_batch(cfg_nt, cfg.trials)
         for c_db in axes.c_db:
             eps = si_threshold(cfg.replace(c_db=float(c_db)))
             _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(h_d, a, eps)

@@ -8,7 +8,8 @@ circularly-symmetric Gaussian draws.
 Vectors are 1-D complex128 ndarrays, matrices are 2-D complex128 ndarrays.
 Random streams are counter-based (Philox) so that every Monte Carlo trial
 can own an independent stream addressed by (seed, stream id) without any
-shared mutable generator state.
+shared mutable generator state. `philox_raw` computes the raw words of many
+such streams in one vectorized pass, bit-identical to numpy's generator.
 """
 
 from dataclasses import dataclass
@@ -116,6 +117,75 @@ class RngState:
         return RngState(self.seed, stream_id)
 
 
+# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3", SC'11): round multipliers and Weyl key increments.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+
+
+def _mulhilo64(m, x):
+    """(high, low) 64-bit halves of the 128-bit product m * x, elementwise.
+
+    m is a Python int constant, x a uint64 array; the high half is assembled
+    from 32-bit partial products, which never overflow uint64.
+    """
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    lo_hi = x_lo * m_hi
+    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    high = x_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+    return high, x * m
+
+
+def philox_raw(seed, stream_ids, m):
+    """First m raw 64-bit words of each stream (seed, s) for s in stream_ids.
+
+    Row i equals np.random.Philox(key=[seed, stream_ids[i]]).random_raw(m),
+    the stream behind RngState(seed, stream_ids[i]).generator(), computed for
+    all streams at once. numpy increments the 256-bit counter before each
+    4-word block, so block b of a fresh stream is generated from counter b + 1.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1, 1)
+    blocks = -(-m // 4)
+    # counter words start as a row (block index) and zeros; broadcasting
+    # against the per-stream key widens them, so the first two rounds
+    # multiply mostly small arrays
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64).reshape(1, -1)
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0, k1 = int(np.asarray(seed, dtype=np.uint64)), ids
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W0) & _MASK64
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo64(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo64(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(ids.shape[0], 4 * blocks)
+    return words[:, :m]
+
+
+def uniforms(words):
+    """Doubles in [0, 1) from raw words, as Generator.random makes them."""
+    return (words >> 11).astype(np.float64) * 2.0 ** -53
+
+
+def box_muller(u1, u2):
+    """CN(0, 1) draws from uniforms u1 in (0, 1] and u2 in [0, 1).
+
+    Elementwise, so a batch of contiguous rows gives the same bits as one
+    row at a time.
+    """
+    r = np.sqrt(-np.log(u1))
+    phase = 2.0 * np.pi * u2
+    return r * (np.cos(phase) + 1j * np.sin(phase))
+
+
 def _standard_complex_normal(gen, n):
     """n i.i.d. CN(0, 1) draws from an active Generator.
 
@@ -123,10 +193,7 @@ def _standard_complex_normal(gen, n):
     count per call is fixed; no rejection loop is ever taken.
     """
     u1 = 1.0 - gen.random(n)   # in (0, 1], keeps log() finite
-    u2 = gen.random(n)
-    r = np.sqrt(-np.log(u1))
-    phase = 2.0 * np.pi * u2
-    return r * (np.cos(phase) + 1j * np.sin(phase))
+    return box_muller(u1, gen.random(n))
 
 
 def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):

@@ -5,10 +5,11 @@ import pytest
 
 from fdbf.beamform import optimal, zf
 from fdbf.channel import SystemConfig, draw_realization, si_threshold
+import fdbf.experiment
 from fdbf.numerics import RngState
-from fdbf.experiment import (SweepAxes, SweepPoint, SweepResult, draw_batch,
-                             power_saving, run_sweep, run_trial,
-                             throughput_gain, uplink_sinr)
+from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult,
+                             _mean_ci, draw_batch, power_saving, run_sweep,
+                             run_trial, throughput_gain, uplink_sinr)
 
 from conftest import canonical_realization
 
@@ -79,13 +80,39 @@ class TestRunTrial:
         assert run_trial(cfg, 0) is None
 
 
+def _per_trial_draws(cfg):
+    rows = [draw_realization(cfg, RngState(cfg.seed, t))
+            for t in range(cfg.trials)]
+    return (np.array([r.h_d for r in rows]),
+            np.array([r.effective_si_vector() for r in rows]))
+
+
 class TestDrawBatch:
-    def test_threads_do_not_change_the_draw(self):
+    @pytest.mark.parametrize("seed, n_t, n_r, k_db, trials", [
+        (7, 2, 2, 10.0, 300),
+        (0, 1, 2, 10.0, 100),
+        (3, 5, 1, 0.0, 100),
+        (5, 4, 4, math.inf, 100),
+        (9, 8, 2, -math.inf, 100),
+        (2**64 - 1, 3, 2, 20.0, 50),
+        (11, 64, 2, 10.0, 400),  # 168 trials per pass: 400 is no multiple
+    ])
+    def test_bit_identical_to_per_trial_draws(self, seed, n_t, n_r, k_db,
+                                              trials):
+        cfg = SystemConfig(n_t=n_t, n_r=n_r, k_factor_db=k_db, trials=trials,
+                           seed=seed)
+        h_ref, a_ref = _per_trial_draws(cfg)
+        h, a = draw_batch(cfg)
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(a, a_ref)
+
+    def test_chunk_size_does_not_change_the_draw(self, monkeypatch):
         cfg = SystemConfig(n_t=3, trials=64, seed=11)
-        h1, a1 = draw_batch(cfg, threads=1)
-        h4, a4 = draw_batch(cfg, threads=4)
-        np.testing.assert_array_equal(h1, h4)
-        np.testing.assert_array_equal(a1, a4)
+        h1, a1 = draw_batch(cfg)
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 7 * 22)
+        h7, a7 = draw_batch(cfg)  # 22 words a trial: passes of 7 trials
+        np.testing.assert_array_equal(h1, h7)
+        np.testing.assert_array_equal(a1, a7)
 
     def test_rows_match_single_trial_draws(self):
         cfg = SystemConfig(n_t=2, trials=8, seed=5)
@@ -95,6 +122,64 @@ class TestDrawBatch:
             r = draw_realization(cfg, RngState(cfg.seed, t))
             np.testing.assert_array_equal(h[t], r.h_d)
             np.testing.assert_array_equal(a[t], r.effective_si_vector())
+
+    def test_all_zero_uplink_channel_replays_the_trial(self, monkeypatch):
+        cfg = SystemConfig(n_t=3, n_r=2, trials=10, seed=4)
+        real_words = fdbf.experiment.philox_raw
+        real_draw = fdbf.experiment.draw_realization
+        replayed = []
+
+        def words_with_zero_uplink(seed, streams, m):
+            w = real_words(seed, streams, m).copy()
+            w[np.asarray(streams) == 6, :cfg.n_r] = 0  # u1 = 1: |h_u| = 0
+            return w
+
+        def counting_draw(cfg_, rng):
+            replayed.append(rng.stream_id)
+            return real_draw(cfg_, rng)
+
+        monkeypatch.setattr(fdbf.experiment, "philox_raw", words_with_zero_uplink)
+        monkeypatch.setattr(fdbf.experiment, "draw_realization", counting_draw)
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 4 * 22)
+        h, a = draw_batch(cfg)  # passes of 4 trials: trial 6 is in the second
+        assert replayed == [6]
+        h_ref, a_ref = _per_trial_draws(cfg)
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(a, a_ref)
+
+    def test_non_finite_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(fdbf.experiment, "box_muller",
+                            lambda u1, u2: np.full(u1.shape, np.nan + 0j))
+        with pytest.raises(ValueError, match="finite"):
+            draw_batch(SystemConfig(n_t=2, trials=3, seed=0))
+
+
+def _mean_ci_reference(values):
+    """The generator-over-numpy-scalars form the sweep CSVs were made with."""
+    m = len(values)
+    if m == 0:
+        return float("nan"), float("nan")
+    mean = math.fsum(values) / m
+    if m == 1:
+        return mean, 0.0
+    var = math.fsum((x - mean) ** 2 for x in values) / (m - 1)
+    return mean, _Z95 * math.sqrt(var / m)
+
+
+class TestMeanCi:
+    def test_bit_identical_to_reference(self):
+        # an array square in place of scalar ** 2 changes about one result
+        # in a thousand here, so the count is what makes this a gate
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            n = int(rng.integers(2, 300))
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7) + rng.random()
+            assert _mean_ci(x) == _mean_ci_reference(x)
+
+    def test_empty_and_single(self):
+        mean, ci = _mean_ci(np.array([]))
+        assert math.isnan(mean) and math.isnan(ci)
+        assert _mean_ci(np.array([2.5])) == (2.5, 0.0)
 
 
 class TestRunSweep:
@@ -129,12 +214,14 @@ class TestRunSweep:
             ci = {res.point(n_t, r, -110.0).ps_ci for r in axes.rho_db}
             assert len(ps) == 1 and len(ci) == 1
 
-    def test_thread_count_is_invisible(self):
+    def test_points_do_not_depend_on_the_rest_of_the_grid(self):
         cfg = SystemConfig(trials=300, seed=4)
         axes = SweepAxes(n_t=(2, 3), rho_db=(0.0,), c_db=(-110.0, -100.0))
-        res1 = run_sweep(cfg, axes, threads=1)
-        res4 = run_sweep(cfg, axes, threads=4)
-        assert res1.points == res4.points
+        res = run_sweep(cfg, axes)
+        for pt in res.points:
+            alone = run_sweep(cfg, SweepAxes((pt.n_t,), (pt.rho_db,),
+                                             (pt.c_db,)))
+            assert alone.points == (pt,)
 
     def test_deterministic_across_runs(self):
         cfg = SystemConfig(trials=100, seed=9)

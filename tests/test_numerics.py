@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fdbf.numerics import (RngState, inner, matvec_adj, norm_sq, pinv_vec,
-                           project_complement, sample_complex_gaussian,
-                           TOL_EQ, TOL_ORTHO)
+from fdbf.numerics import (RngState, inner, matvec_adj, norm_sq, philox_raw,
+                           pinv_vec, project_complement, sample_complex_gaussian,
+                           uniforms, TOL_EQ, TOL_ORTHO)
 
 
 class TestInner:
@@ -132,6 +132,24 @@ class TestRngState:
         straight = RngState(9, 2).generator()
         straight.random(10)
         assert np.array_equal(tail_after_5, straight.random(4))
+
+
+class TestVectorizedPhilox:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 17, 388])
+    def test_known_answer_against_numpy(self, seed, m):
+        streams = [0, 1, 999_999, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+        words = philox_raw(seed, streams, m)
+        assert words.shape == (len(streams), m) and words.dtype == np.uint64
+        for row, stream in zip(words, streams):
+            key = np.array([seed, stream], dtype=np.uint64)
+            ref = np.random.Philox(key=key).random_raw(m)
+            np.testing.assert_array_equal(row, np.atleast_1d(ref))
+
+    def test_uniforms_match_generator_random(self):
+        words = philox_raw(42, [3], 9)
+        np.testing.assert_array_equal(uniforms(words)[0],
+                                      RngState(42, 3).generator().random(9))
 
 
 class TestComplexGaussian:
