@@ -4,7 +4,8 @@ Library layout:
 
   numerics    complex vector primitives and counter-based RNG
   channel     system configuration and Rayleigh/Ricean channel draws
-  beamform    MRT / ZF baselines and the closed-form optimal beamformer
+  beamform    MRT / ZF baselines, the closed form for alpha* (closed_form,
+              its one scalar statement) and the optimal beamformer
   kernels     numba-or-numpy hot loops (FDBF_BACKEND selects the backend)
   oracle      brute-force optimality certifiers and the timing benchmark
   experiment  Monte Carlo throughput-gain / power-saving sweeps
@@ -13,28 +14,28 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .beamform import (BeamformerSolution, DegenerateParallelError, alpha_star,
-                       dl_rate, family, mrt, optimal, si_power, zeta_eta, zf)
+from .beamform import (BeamformerSolution, DegenerateParallelError, closed_form,
+                       dl_rate, family, mrt, optimal, si_power, zf)
 from .channel import (ChannelRealization, SystemConfig, db_to_linear,
                       draw_realization, ricean_params, si_threshold)
 from .experiment import (SweepAxes, SweepPoint, SweepResult, TrialRecord,
                          draw_batch, power_saving, run_sweep, run_trial,
                          throughput_gain, uplink_sinr)
-from .numerics import (TOL_EQ, TOL_ORTHO, RngState, inner, matvec_adj, norm_sq,
-                       pinv_vec, project_complement, sample_complex_gaussian)
+from .numerics import (TOL_EQ, RngState, inner, matvec_adj, norm_sq,
+                       sample_complex_gaussian)
 from .oracle import (OracleReport, feasible, grid_search,
                      random_feasible_search, timing_bench)
 
 __all__ = [
     "__version__",
-    "BeamformerSolution", "DegenerateParallelError", "alpha_star", "dl_rate",
-    "family", "mrt", "optimal", "si_power", "zeta_eta", "zf",
+    "BeamformerSolution", "DegenerateParallelError", "closed_form", "dl_rate",
+    "family", "mrt", "optimal", "si_power", "zf",
     "ChannelRealization", "SystemConfig", "db_to_linear", "draw_realization",
     "ricean_params", "si_threshold",
     "SweepAxes", "SweepPoint", "SweepResult", "TrialRecord", "draw_batch",
     "power_saving", "run_sweep", "run_trial", "throughput_gain", "uplink_sinr",
-    "TOL_EQ", "TOL_ORTHO", "RngState", "inner", "matvec_adj", "norm_sq",
-    "pinv_vec", "project_complement", "sample_complex_gaussian",
+    "TOL_EQ", "RngState", "inner", "matvec_adj", "norm_sq",
+    "sample_complex_gaussian",
     "OracleReport", "feasible", "grid_search", "random_feasible_search",
     "timing_bench",
 ]

@@ -25,11 +25,13 @@ When eta > 0 the Cauchy-Schwarz inequality forces zeta >= eta > 0, so the
 square root is well defined. zeta - eta = epsilon ||q||^2 and
 zeta = (||a||^2 - epsilon) ||p||^2 exactly, so the active branch is
 
-    1 - alpha* = min(1, sqrt(epsilon / (||a||^2 - epsilon)) * ||q|| / ||p||),
+    1 - alpha* = min(1, sqrt(epsilon / (||a||^2 - epsilon)) * ||q|| / ||p||).
 
-which is how optimal() evaluates it: the difference zeta - eta cancels
-catastrophically when h_d is nearly parallel to a, while the residual norm
-||q|| is computed componentwise and stays accurate.
+closed_form() evaluates this from five scalars, and it is the only scalar
+statement of the decision: optimal() and kernels.solve_one call it, and
+kernels.solve_batch is its vectorized form. The difference zeta - eta
+cancels catastrophically when h_d is nearly parallel to a, while the
+residual norm ||q|| is computed componentwise and stays accurate.
 
 All returned beamformers have unit norm (full available power) except in one
 degenerate corner: h_d parallel to a with the cap active, where nulling would
@@ -96,24 +98,18 @@ def mrt(h_d):
 
 
 def zf(h_d, a):
-    """Zero-forcing beamformer: h_d projected off the leakage direction, normalized.
+    """Zero-forcing beamformer: the family member at alpha = 1.
 
     When h_d is (numerically) parallel to a the projection vanishes and no
     unit-norm nulling vector pointed at the user exists; the returned
     solution is the zero vector flagged degenerate.
     """
-    h_d = as_cvector(h_d)
-    a = as_cvector(a)
-    if a.shape != h_d.shape:
-        raise ValueError(f"dimension mismatch: {h_d.shape} vs {a.shape}")
-    p, q, gram, _ = _leakage_split(h_d, a)
-    qn = math.sqrt(norm_sq(q))
-    if qn <= PARALLEL_RTOL * math.sqrt(norm_sq(h_d)):
-        return BeamformerSolution(w=np.zeros_like(h_d), dl_gain=0.0, norm_w=0.0,
-                                  alpha=1.0, si_power=0.0, degenerate=True)
-    w = q / qn
-    return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2, norm_w=1.0,
-                              alpha=1.0, si_power=abs(inner(a, w)) ** 2)
+    try:
+        return family(1.0, h_d, a)
+    except DegenerateParallelError:
+        return BeamformerSolution(w=np.zeros_like(as_cvector(h_d)), dl_gain=0.0,
+                                  norm_w=0.0, alpha=1.0, si_power=0.0,
+                                  degenerate=True)
 
 
 def family(alpha, h_d, a):
@@ -140,32 +136,19 @@ def family(alpha, h_d, a):
                               alpha=float(alpha), si_power=abs(inner(a, w)) ** 2)
 
 
-def zeta_eta(h_d, a, epsilon, gram=None):
-    """Closed-form decision pair (zeta, eta) for the cap epsilon.
+def closed_form(hd2, gram, mag, q2, epsilon):
+    """alpha* and the parallel-corner transmit norm from the Gram scalars.
 
-    eta <= 0 means the matched beamformer already meets the cap; otherwise
-    the cap is active and alpha* is read off sqrt((zeta-eta)/zeta).
+    Inputs are ||h_d||^2, ||a||^2, |a^H h_d|^2, ||q||^2 (q computed
+    componentwise) and the cap. Returns (alpha, backoff): backoff is
+    sqrt(epsilon ||h_d||^2 / |a^H h_d|^2) < 1 when the cap is active, the
+    norm at which transmitting along h_d puts the leakage exactly on the cap
+    (the optimum when h_d is parallel to a), and 1.0 otherwise.
     """
-    h_d = np.asarray(h_d)
-    a = np.asarray(a)
-    if gram is None:
-        gram = norm_sq(a)
-    if gram == 0.0:
-        return 0.0, -epsilon * norm_sq(h_d)
-    mag = abs(np.vdot(a, h_d)) ** 2
-    zeta = (1.0 - epsilon / gram) * mag
-    eta = mag - epsilon * norm_sq(h_d)
-    return zeta, eta
-
-
-def alpha_star(zeta, eta):
-    """Optimal family position for a decision pair from zeta_eta."""
-    if eta <= 0.0:
-        return 0.0
-    ratio = (zeta - eta) / zeta
-    if ratio <= 0.0:
-        return 1.0
-    return 1.0 - min(1.0, math.sqrt(ratio))
+    if gram == 0.0 or mag - epsilon * hd2 <= 0.0 or gram <= epsilon:
+        return 0.0, 1.0
+    b2 = (epsilon / (gram - epsilon)) * (q2 * gram / mag)
+    return 1.0 - min(1.0, math.sqrt(b2)), math.sqrt(epsilon * hd2 / mag)
 
 
 def optimal(h_d, H, v, epsilon):
@@ -186,23 +169,14 @@ def optimal(h_d, H, v, epsilon):
     if hd2 == 0.0:
         raise ValueError("h_d must be nonzero")
     a = matvec_adj(H, v)
-    p, q, gram, mag = _leakage_split(h_d, a)
-    eta = mag - epsilon * hd2
-    if gram == 0.0 or eta <= 0.0 or gram <= epsilon:
-        al = 0.0
-    else:
-        # stable form of 1 - sqrt((zeta-eta)/zeta), see module docstring
-        b2 = (epsilon / (gram - epsilon)) * (norm_sq(q) * gram / mag)
-        al = 1.0 - min(1.0, math.sqrt(b2))
+    _, q, gram, mag = _leakage_split(h_d, a)
+    al, backoff = closed_form(hd2, gram, mag, norm_sq(q), epsilon)
     try:
         return family(al, h_d, a)
     except DegenerateParallelError:
-        u = h_d / math.sqrt(hd2)
-        leak = abs(inner(a, u))  # > 0 here, else eta <= 0 would have held
-        scale = math.sqrt(epsilon) / leak
-        w = scale * u
+        w = (backoff / math.sqrt(hd2)) * h_d
         return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2,
-                                  norm_w=scale, alpha=al,
+                                  norm_w=backoff, alpha=al,
                                   si_power=abs(inner(a, w)) ** 2, degenerate=True)
 
 

@@ -20,16 +20,18 @@ error, 3 I/O error.
 """
 
 import argparse
+import itertools
 import math
 import os
 import re
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import __version__, kernels
 from .beamform import dl_rate, family, optimal, DegenerateParallelError
-from .channel import SystemConfig, db_to_linear, draw_realization
+from .channel import SystemConfig, db_to_linear, draw_realization, si_threshold
 from .experiment import SweepAxes, run_sweep
 from .numerics import RngState
 from .oracle import feasible, grid_search, random_feasible_search, timing_bench
@@ -73,6 +75,8 @@ def parse_axis(text, name, default_step, integer=False):
         lo = _number(lo_text, name)
         hi = _number(hi_text, name)
         step = _number(step_text, name) if step_text else float(default_step)
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise UsageError(f"{name}: range bounds and step must be finite")
         if step <= 0:
             raise UsageError(f"{name}: step must be positive")
         if hi < lo:
@@ -88,7 +92,7 @@ def parse_axis(text, name, default_step, integer=False):
     if integer:
         out = []
         for v in values:
-            if v != int(v):
+            if not math.isfinite(v) or v != int(v):
                 raise UsageError(f"{name}: expected integers, got {v}")
             out.append(int(v))
         return out
@@ -96,10 +100,16 @@ def parse_axis(text, name, default_step, integer=False):
 
 
 def _parse_int(text, name):
-    v = _number(text, name)
-    if v != int(v):
+    """Exact integer from decimal text ("5", "-1", "1e3"); never via float."""
+    try:
+        d = Decimal(text.strip())
+    except InvalidOperation:
+        d = None
+    # the digit bound keeps int() from expanding an exponent like 1e999999999
+    if (d is None or not d.is_finite() or d.adjusted() > 40
+            or d != d.to_integral_value()):
         raise UsageError(f"{name}: expected an integer, got {text!r}")
-    return int(v)
+    return int(d)
 
 
 # every key a config file may carry, across all subcommands
@@ -180,6 +190,16 @@ class Settings:
                 raise UsageError(f"{field} must be >= 1")
         if self.grid_points < 2:
             raise UsageError("grid_points must be >= 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # every model point the run will build, so a bad value is a usage
+        # error here and never an uncaught ValueError mid-run
+        for n_t, c_db, rho_db in itertools.product(self.nt, self.c_db, self.rho_db):
+            try:
+                si_threshold(self.base_config().replace(
+                    n_t=n_t, c_db=c_db, rho_db=rho_db))
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
 
     def base_config(self):
         return SystemConfig(n_t=self.nt[0], n_r=self.nr, p_d_dbm=self.pd_dbm,

@@ -25,7 +25,10 @@ import os
 
 import numpy as np
 
-_PAR_TOL_SQ = 1e-24  # squared relative parallelism threshold, (1e-12)^2
+from .beamform import closed_form
+from .numerics import PARALLEL_RTOL
+
+_PAR_TOL_SQ = PARALLEL_RTOL ** 2  # squared relative parallelism threshold
 
 _requested = os.environ.get("FDBF_BACKEND", "auto").strip().lower()
 if _requested not in ("auto", "numba", "numpy"):
@@ -64,6 +67,7 @@ def solve_batch_numpy(h_d, a, eps):
     (alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok). gain_* are squared
     downlink amplitudes of the normalized optimal / zero-forcing vectors;
     zf_ok is False where zero-forcing is degenerate (h_d parallel to a).
+    This is the vectorized form of beamform.closed_form.
     """
     h_d = _cvec(h_d).reshape(len(h_d), -1)
     a = _cvec(a).reshape(len(a), -1)
@@ -116,34 +120,28 @@ def solve_one_numpy(h_d, H, v, eps):
     """Closed-form solve of a single instance from raw (h_d, H, v, eps).
 
     Returns (alpha, si_opt, gain_opt, norm_w). Counts the full work of one
-    solve including the effective leakage direction a = H^H v.
+    solve including the effective leakage direction a = H^H v. alpha comes
+    from beamform.closed_form. Since h_d = p + q and w(alpha) ∝ q + (1-alpha) p
+    with q orthogonal to p, every norm and gain is a sum of nonnegative
+    Gram terms, and the scalars stay Python floats.
     """
-    a = H.conj().T @ v
-    hd2 = np.vdot(h_d, h_d).real
-    gram = np.vdot(a, a).real
-    cc = np.vdot(a, h_d)
-    mag = cc.real ** 2 + cc.imag ** 2
+    a = v @ H.conj()
+    gram = float(np.vdot(a, a).real)
+    cc = complex(np.vdot(a, h_d))
+    mag = abs(cc) ** 2
     if gram > 0.0:
-        p = a * (cc / gram)
+        p2 = mag / gram
+        q = h_d - a * (cc / gram)
     else:
-        p = np.zeros_like(a)
-    q = h_d - p
-    q2 = np.vdot(q, q).real
-    eta = mag - eps * hd2
-    if gram == 0.0 or eta <= 0.0 or gram <= eps:
-        alpha = 0.0
-    else:
-        b2 = (eps / (gram - eps)) * (q2 * gram / mag)
-        alpha = 1.0 - min(1.0, math.sqrt(b2))
-    w_un = h_d - alpha * p
-    w2 = np.vdot(w_un, w_un).real
+        p2, q = 0.0, h_d
+    q2 = float(np.vdot(q, q).real)
+    hd2 = q2 + p2
+    alpha, backoff = closed_form(hd2, gram, mag, q2, eps)
+    b = 1.0 - alpha
+    w2 = q2 + b * b * p2
     if w2 <= _PAR_TOL_SQ * hd2:
-        return alpha, eps, eps * hd2 * hd2 / mag, math.sqrt(eps * hd2 / mag)
-    cw = np.vdot(h_d, w_un)
-    ca = np.vdot(a, w_un)
-    gain = (cw.real ** 2 + cw.imag ** 2) / w2
-    si = (ca.real ** 2 + ca.imag ** 2) / w2
-    return alpha, si, gain, 1.0
+        return alpha, eps, backoff * backoff * hd2, backoff
+    return alpha, b * b * mag / w2, (q2 + b * p2) ** 2 / w2, 1.0
 
 
 _GRID_CHUNK = 65536

@@ -1,8 +1,7 @@
 """Complex dense vector/matrix primitives and seeded complex-Gaussian sampling.
 
 All downstream modules build on the handful of operations defined here:
-Hermitian inner products, adjoint matrix-vector products, the vector
-pseudoinverse, projection onto an orthogonal complement, and deterministic
+Hermitian inner products, adjoint matrix-vector products and deterministic
 circularly-symmetric Gaussian draws.
 
 Vectors are 1-D complex128 ndarrays, matrices are 2-D complex128 ndarrays.
@@ -18,7 +17,6 @@ import numpy as np
 
 # Centralized tolerances for double-precision dense ops at dimensions <= 64.
 TOL_EQ = 1e-12        # relative equality of scalars/vectors
-TOL_ORTHO = 1e-10     # residual orthogonality after projection
 PARALLEL_RTOL = 1e-12  # |residual| / |input| below which a projection counts as zero
 
 
@@ -64,35 +62,6 @@ def matvec_adj(H, v):
     if v.shape != (H.shape[0],):
         raise ValueError(f"dimension mismatch: H is {H.shape}, v is {v.shape}")
     return H.conj().T @ v
-
-
-def pinv_vec(a):
-    """Pseudoinverse of a vector, returned as a row functional.
-
-    For a != 0 the result is conj(a) / ||a||^2, so that np.dot(pinv_vec(a), a) == 1.
-    The zero vector maps to the zero functional.
-    """
-    a = np.asarray(a)
-    g = np.vdot(a, a).real
-    if g == 0.0:
-        return np.zeros_like(a)
-    return a.conj() / g
-
-
-def project_complement(a, x):
-    """Project x onto the orthogonal complement of span{a}: (I - a a^#) x.
-
-    Leaves x untouched when a = 0. The result is orthogonal to a and the map
-    is idempotent.
-    """
-    a = np.asarray(a)
-    x = np.asarray(x)
-    if a.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
-    g = np.vdot(a, a).real
-    if g == 0.0:
-        return x.copy()
-    return x - a * (np.vdot(a, x) / g)
 
 
 @dataclass(frozen=True)

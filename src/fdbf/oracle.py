@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .beamform import dl_rate, family, si_power
+from .beamform import family, si_power
 from .numerics import RngState, _standard_complex_normal, norm_sq
 
 # Grid feasibility slack. Has to admit exact boundary candidates whose
@@ -61,6 +61,14 @@ def feasible(w, realization, tol=1e-9):
     return si <= realization.epsilon + tol and norm_sq(w) <= 1.0 + tol
 
 
+def _along(h_d, a):
+    """Component p = a (a^H h_d)/||a||^2 of h_d along a; zero when a = 0."""
+    gram = np.vdot(a, a).real
+    if gram > 0.0:
+        return a * (np.vdot(a, h_d) / gram)
+    return np.zeros_like(a)
+
+
 def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
     """Scan the matched-to-nulled family on a uniform alpha grid.
 
@@ -72,13 +80,8 @@ def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
         raise ValueError("grid_points must be >= 2")
     h_d = realization.h_d
     a = realization.effective_si_vector()
-    gram = norm_sq(a)
-    if gram > 0.0:
-        p = a * (np.vdot(a, h_d) / gram)
-    else:
-        p = np.zeros_like(a)
     best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
-        h_d, p, a, realization.epsilon, int(grid_points), float(tol))
+        h_d, _along(h_d, a), a, realization.epsilon, int(grid_points), float(tol))
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"), best_w=None,
                             samples_tested=int(grid_points),
@@ -152,12 +155,8 @@ def timing_bench(realizations, grid_points, passes=5):
 
     def run_grid(h_d, H, v, eps, n_grid):
         a = H.conj().T @ v
-        gram = np.vdot(a, a).real
-        if gram > 0.0:
-            p = a * (np.vdot(a, h_d) / gram)
-        else:
-            p = np.zeros_like(a)
-        return kernels.grid_scan(h_d, p, a, eps, n_grid, GRID_FEAS_TOL)
+        return kernels.grid_scan(h_d, _along(h_d, a), a, eps, n_grid,
+                                 GRID_FEAS_TOL)
 
     kernels.warmup()
     kernels.solve_one(*closed_inputs[0])

@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdbf
 from fdbf import kernels
 from fdbf.channel import ChannelRealization
 
@@ -11,6 +14,17 @@ from fdbf.channel import ChannelRealization
 def _warm_kernels():
     # pay the one-time JIT cost before any timed or asserted work
     kernels.warmup()
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that must import this fdbf.
+
+    pytest's `pythonpath` setting reaches only this process, so the package
+    directory is put on the child's PYTHONPATH explicitly.
+    """
+    src = str(Path(fdbf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def canonical_realization(epsilon=0.1):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import canonical_realization, random_instance
+from fdbf import kernels
 from fdbf.beamform import (BeamformerSolution, DegenerateParallelError,
-                           alpha_star, dl_rate, family, mrt, optimal, si_power,
-                           zeta_eta, zf)
+                           closed_form, dl_rate, family, mrt, optimal, si_power,
+                           zf)
 from fdbf.numerics import inner, matvec_adj, norm_sq
 
 INV_SQRT10 = 1.0 / math.sqrt(10.0)
@@ -95,40 +96,90 @@ class TestFamily:
             family(1.0, h_d, -3.0 * h_d)
 
 
-class TestZetaEta:
-    def test_canonical_pair(self, canon_parts):
+def zeta_eta_alpha(h_d, a, eps):
+    """alpha* read off the textbook pair (zeta, eta), an independent reference.
+
+    zeta - eta cancels when h_d is nearly parallel to a, so this reference
+    is only trusted where it is well conditioned.
+    """
+    gram = norm_sq(a)
+    mag = abs(inner(a, h_d)) ** 2
+    eta = mag - eps * norm_sq(h_d)
+    if eta <= 0.0:
+        return 0.0
+    zeta = (1.0 - eps / gram) * mag
+    return 1.0 - min(1.0, math.sqrt(max(0.0, (zeta - eta) / zeta)))
+
+
+def gram_scalars(h_d, a):
+    """(||h_d||^2, ||a||^2, |a^H h_d|^2, ||q||^2) with q computed componentwise."""
+    gram = norm_sq(a)
+    c = inner(a, h_d)
+    q = h_d - a * (c / gram) if gram > 0.0 else h_d
+    return norm_sq(h_d), gram, abs(c) ** 2, norm_sq(q)
+
+
+class TestClosedForm:
+    def test_canonical_value(self, canon_parts):
         h_d, _, _, a, eps = canon_parts
-        zeta, eta = zeta_eta(h_d, a, eps)
-        assert zeta == pytest.approx(0.45, abs=1e-9)
-        assert eta == pytest.approx(0.40, abs=1e-9)
+        alpha, backoff = closed_form(*gram_scalars(h_d, a), eps)
+        assert alpha == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert backoff == pytest.approx(math.sqrt(0.2), rel=1e-12)
+
+    def test_inactive_cap(self, canon_parts):
+        h_d, _, _, a, _ = canon_parts
+        assert closed_form(*gram_scalars(h_d, a), 10.0) == (0.0, 1.0)
+        # eta = 0 exactly: the matched filter sits on the cap
+        assert closed_form(1.0, 1.0, 0.5, 0.5, 0.5) == (0.0, 1.0)
 
     def test_zero_leakage_direction(self):
         h_d = np.array([1.0 + 0j, 1j])
-        zeta, eta = zeta_eta(h_d, np.zeros(2, complex), 0.3)
-        assert zeta == 0.0
-        assert eta == pytest.approx(-0.6, rel=1e-12)
-
-    def test_eta_sign_flips_with_eps(self, canon_parts):
-        h_d, _, _, a, _ = canon_parts
-        assert zeta_eta(h_d, a, 1e-6)[1] > 0        # cap active
-        assert zeta_eta(h_d, a, 10.0)[1] < 0        # matched filter feasible
-
-
-class TestAlphaStar:
-    def test_canonical_value(self):
-        assert alpha_star(0.45, 0.40) == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_inactive_cap(self):
-        assert alpha_star(0.45, 0.0) == 0.0
-        assert alpha_star(0.45, -1.0) == 0.0
+        scalars = gram_scalars(h_d, np.zeros(2, complex))
+        assert scalars == (2.0, 0.0, 0.0, 2.0)
+        assert closed_form(*scalars, 0.3) == (0.0, 1.0)
 
     def test_full_nulling_limit(self):
-        assert alpha_star(0.5, 0.5) == 1.0
-        assert alpha_star(0.5, 0.7) == 1.0
+        # no residual off the leakage direction: nulling is all that is left
+        assert closed_form(1.0, 1.0, 1.0, 0.0, 0.5) == (1.0, math.sqrt(0.5))
 
-    def test_monotone_in_eta(self):
-        alphas = [alpha_star(1.0, eta) for eta in np.linspace(0.01, 0.99, 25)]
-        assert all(x <= y + 1e-15 for x, y in zip(alphas, alphas[1:]))
+    def test_monotone_in_cap(self, canon_parts):
+        h_d, _, _, a, _ = canon_parts
+        scalars = gram_scalars(h_d, a)
+        alphas = [closed_form(*scalars, eps)[0] for eps in np.geomspace(1e-6, 1.0, 25)]
+        assert all(x >= y - 1e-15 for x, y in zip(alphas, alphas[1:]))
+
+    def test_matches_zeta_eta_reference_where_well_conditioned(self):
+        rng = np.random.default_rng(22)
+        compared = 0
+        for _ in range(500):
+            h_d, H, v, eps = random_instance(rng)
+            a = matvec_adj(H, v)
+            ref = zeta_eta_alpha(h_d, a, eps)
+            if ref >= 1.0 - 1e-3:
+                continue
+            alpha, _ = closed_form(*gram_scalars(h_d, a), eps)
+            assert alpha == pytest.approx(ref, abs=1e-9)
+            compared += 1
+        assert compared > 100
+
+    def test_near_parallel_keeps_cap_active(self):
+        # h_d = 3a + 1e-7 e: zeta - eta cancels, the componentwise ||q|| does not
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        e = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        h_d = 3.0 * a + 1e-7 * e / np.linalg.norm(e)
+        H = a.conj()[None, :]
+        v = np.array([1.0 + 0j])
+        eps = 0.1
+        sol = optimal(h_d, H, v, eps)
+        alpha, si, gain, norm_w = kernels.solve_one(h_d, H, v, eps)
+        assert not sol.degenerate and norm_w == 1.0
+        assert 0.0 < sol.alpha < 1.0
+        assert sol.si_power == pytest.approx(eps, rel=1e-6)
+        assert si == pytest.approx(eps, rel=1e-6)
+        assert alpha == pytest.approx(sol.alpha, abs=1e-12)
+        # both carry alpha's last-ulp rounding, amplified by 1/(1 - alpha)
+        assert gain == pytest.approx(sol.dl_gain, rel=1e-6)
 
 
 class TestOptimal:

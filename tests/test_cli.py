@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import child_env
 from fdbf.cli import (Settings, UsageError, build_parser, main, parse_axis,
                       parse_config)
 
@@ -36,6 +37,9 @@ class TestParseAxis:
             parse_axis("2.5", "x", 2, integer=True)
         with pytest.raises(UsageError):
             parse_axis("2..3:0.5", "x", 2, integer=True)
+        for bad in ("inf", "nan", "2..inf"):
+            with pytest.raises(UsageError):
+                parse_axis(bad, "x", 2, integer=True)
 
     @pytest.mark.parametrize("bad", ["10..2", "2..", "..4", "2..4:0",
                                      "2..4:-1", "1..2..3", "abc", "1,,2"])
@@ -103,6 +107,42 @@ class TestSettings:
             settings_for(["sweep", "--grid-points", "1"])
         with pytest.raises(UsageError):
             settings_for(["sweep", "--nt", "0.5"])
+
+    def test_integers_parse_exactly(self, monkeypatch, tmp_path):
+        big = 2 ** 53 + 1  # the nearest double is 2**53
+        assert settings_for(["sweep", "--seed", str(big)]).seed == big
+        monkeypatch.setenv("FDBF_SEED", str(big))
+        assert settings_for(["sweep"]).seed == big
+        monkeypatch.delenv("FDBF_SEED")
+        f = tmp_path / "c.txt"
+        f.write_text(f"seed = {big}\n")
+        assert settings_for(["sweep", "--config", str(f)]).seed == big
+        assert settings_for(["sweep", "--trials", "1e3"]).trials == 1000
+        for bad in ("2.5", "nan", "inf", "1e999999999", "0x10", ""):
+            with pytest.raises(UsageError, match="expected an integer"):
+                settings_for(["sweep", "--seed", bad])
+
+    def test_seed_range(self, tmp_path, capsys):
+        rc = main(["sweep", "--trials", "5", "--seed", str(2 ** 64 - 1),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        for bad in (-1, 2 ** 64):
+            assert main(["sweep", "--trials", "5", f"--seed={bad}",
+                         "--out-dir", str(tmp_path)]) == 2
+            assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--nt", "0"), ("--c-db", "nan"), ("--rho-db", "inf"),
+        ("--k-db", "nan"), ("--pd-dbm", "1e308"), ("--nt", "2,0"),
+        ("--c-db", "-120,nan"),
+    ])
+    def test_invalid_model_values_are_usage_errors(self, command, flag, value,
+                                                   tmp_path, capsys):
+        rc = main([command, flag, value, "--trials", "5",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def read_csv(path):
@@ -248,7 +288,7 @@ class TestTopLevel:
         out = subprocess.run(
             [sys.executable, "-m", "fdbf.cli", "sweep", "--nt", "2",
              "--trials", "20", "--seed", "1", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert (tmp_path / "tg.csv").exists()
         assert "sweep: wrote" in out.stdout

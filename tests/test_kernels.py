@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ from fdbf import kernels
 from fdbf.beamform import DegenerateParallelError, family, optimal, zf
 from fdbf.numerics import inner, matvec_adj, norm_sq
 
-from conftest import canonical_realization, random_instance
+from conftest import canonical_realization, child_env, random_instance
 
 needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
 
@@ -39,7 +38,7 @@ class TestBackendSelection:
             assert kernels.grid_scan is kernels.grid_scan_numpy
 
     def test_env_forces_numpy(self):
-        env = {**os.environ, "FDBF_BACKEND": "numpy"}
+        env = child_env(FDBF_BACKEND="numpy")
         out = subprocess.run(
             [sys.executable, "-c", "from fdbf import kernels; print(kernels.BACKEND)"],
             capture_output=True, text=True, env=env)
@@ -47,7 +46,7 @@ class TestBackendSelection:
         assert out.stdout.strip() == "numpy"
 
     def test_env_rejects_unknown_backend(self):
-        env = {**os.environ, "FDBF_BACKEND": "bogus"}
+        env = child_env(FDBF_BACKEND="bogus")
         out = subprocess.run(
             [sys.executable, "-c", "import fdbf.kernels"],
             capture_output=True, text=True, env=env)
@@ -162,6 +161,28 @@ class TestSolveOne:
             assert si == pytest.approx(sol.si_power, rel=1e-10, abs=1e-30)
             assert gain == pytest.approx(sol.dl_gain, rel=1e-10)
             assert norm_w == pytest.approx(sol.norm_w, rel=1e-10)
+
+    @pytest.mark.parametrize("h_d, H, v, eps", [
+        # zero leakage direction
+        ([0.6, 0.8j], [[0.0, 0.0]], [1.0], 0.1),
+        # leakage parallel to the channel with the cap active: power back-off
+        ([2.0, 2.0j], [[0.25, -0.25j]], [1.0], 0.1),
+        # single antenna, cap active (back-off) and relaxed (full power)
+        ([2.0], [[1.0]], [1.0], 0.5),
+        ([2.0], [[1.0]], [1.0], 9.0),
+        # cap so tight that alpha rounds to exactly 1.0
+        ([1.0, 1e-10], [[1.0, 0.0]], [1.0], 1e-14),
+    ], ids=["a_zero", "parallel_backoff", "n_t1_active", "n_t1_relaxed",
+            "alpha_one"])
+    def test_edge_rows_match_reference_solver(self, h_d, H, v, eps):
+        h_d, H, v = (np.array(x, dtype=complex) for x in (h_d, H, v))
+        alpha, si, gain, norm_w = kernels.solve_one(h_d, H, v, eps)
+        sol = optimal(h_d, H, v, eps)
+        assert alpha == sol.alpha
+        assert si == pytest.approx(sol.si_power, rel=1e-12, abs=1e-30)
+        assert gain == pytest.approx(sol.dl_gain, rel=1e-12)
+        assert norm_w == pytest.approx(sol.norm_w, rel=1e-12)
+        assert (norm_w < 1.0) == sol.degenerate
 
 
 class TestGridScan:

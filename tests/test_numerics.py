@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fdbf.numerics import (RngState, inner, matvec_adj, norm_sq, philox_raw,
-                           pinv_vec, project_complement, sample_complex_gaussian,
-                           uniforms, TOL_EQ, TOL_ORTHO)
+                           sample_complex_gaussian, uniforms, TOL_EQ)
 
 
 class TestInner:
@@ -57,50 +56,6 @@ class TestMatvecAdj:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             matvec_adj(np.ones((2, 3), complex), np.ones(3, complex))
-
-
-class TestPinvVec:
-    def test_worked_example(self):
-        out = pinv_vec(np.array([1.0 + 0j, 1j]))
-        assert np.allclose(out, [0.5, -0.5j], atol=TOL_EQ)
-
-    def test_row_functional_hits_one(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.dot(pinv_vec(a), a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_vector(self):
-        out = pinv_vec(np.zeros(3, complex))
-        assert np.all(out == 0)
-
-
-class TestProjectComplement:
-    def test_worked_example(self):
-        a = np.array([1.0 + 0j, 1.0 + 0j]) / math.sqrt(2)
-        x = np.array([1.0 + 0j, 0.0 + 0j])
-        out = project_complement(a, x)
-        assert np.allclose(out, [0.5, -0.5], atol=TOL_EQ)
-
-    def test_result_orthogonal_and_idempotent(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        q = project_complement(a, x)
-        assert abs(inner(a, q)) <= TOL_ORTHO * math.sqrt(norm_sq(a) * norm_sq(x))
-        assert np.allclose(project_complement(a, q), q, atol=1e-12)
-
-    def test_zero_direction_is_identity(self):
-        x = np.array([1 + 2j, 3 - 1j])
-        assert np.array_equal(project_complement(np.zeros(2, complex), x), x)
-
-    def test_parallel_input_vanishes(self):
-        a = np.array([1 + 1j, 2 - 1j, 0.5j])
-        out = project_complement(a, 3.2j * a)
-        assert math.sqrt(norm_sq(out)) <= 1e-12 * math.sqrt(norm_sq(3.2j * a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            project_complement(np.ones(2, complex), np.ones(3, complex))
 
 
 class TestRngState:
