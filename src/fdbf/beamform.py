@@ -29,7 +29,8 @@ zeta = (||a||^2 - epsilon) ||p||^2 exactly, so the active branch is
 
 closed_form() evaluates this from five scalars, and it is the only scalar
 statement of the decision: optimal() and kernels.solve_one call it, and
-kernels.solve_batch is its vectorized form. The difference zeta - eta
+kernels.solve_batch is its vectorized form over a batch of instances and an
+axis of caps. The difference zeta - eta
 cancels catastrophically when h_d is nearly parallel to a, while the
 residual norm ||q|| is computed componentwise and stays accurate.
 

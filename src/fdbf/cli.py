@@ -40,6 +40,9 @@ from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 # disjoint block so the certifier never reuses channel randomness.
 _ORACLE_STREAM_BASE = 1_000_000
 
+# largest count flag: the largest array dimension numpy can represent
+_MAX_COUNT = 2 ** 63 - 1
+
 
 class UsageError(Exception):
     """Invalid flags or config; mapped to exit code 2."""
@@ -190,6 +193,9 @@ class Settings:
                 raise UsageError(f"{field} must be >= 1")
         if self.grid_points < 2:
             raise UsageError("grid_points must be >= 2")
+        for field in ("trials", "repeats", "instances", "samples", "grid_points"):
+            if getattr(self, field) > _MAX_COUNT:
+                raise UsageError(f"{field} must be <= 2**63 - 1")
         if not 0 <= self.seed < 2 ** 64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
         # every model point the run will build, so a bad value is a usage
@@ -440,6 +446,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

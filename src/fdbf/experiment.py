@@ -220,29 +220,31 @@ def _mean_ci(values):
 def run_sweep(cfg, axes=None):
     """Monte Carlo sweep over the (n_t, rho_db, c_db) grid.
 
-    For each n_t the channel set is drawn once and reused across every
-    (rho, c) pair; gain ratios are computed once per (n_t, c) and reused
-    across rho, so the power-saving column is bit-identical along the rho
-    axis by construction. Deterministic given (cfg.seed, axes).
+    For each n_t the channel set is drawn once and the whole c axis is
+    solved in one pass; the zero-forcing rates are computed once per
+    (n_t, rho) and the gain ratios once per (n_t, c) and reused across rho,
+    so the power-saving column is bit-identical along the rho axis by
+    construction. Deterministic given (cfg.seed, axes).
     """
     if axes is None:
         axes = SweepAxes.from_config(cfg)
+    eps = np.array([si_threshold(cfg.replace(c_db=float(c_db)))
+                    for c_db in axes.c_db])
+    rhos = [db_to_linear(float(rho_db)) for rho_db in axes.rho_db]
     points = []
     for n_t in axes.n_t:
         cfg_nt = cfg.replace(n_t=int(n_t))
         h_d, a = draw_batch(cfg_nt, cfg.trials)
-        for c_db in axes.c_db:
-            eps = si_threshold(cfg.replace(c_db=float(c_db)))
-            _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(h_d, a, eps)
-            keep = np.flatnonzero(zf_ok)
-            n_excluded = cfg.trials - keep.size
-            g_opt = gain_opt[keep]
-            g_zf = gain_zf[keep]
+        _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(h_d, a, eps)
+        keep = np.flatnonzero(zf_ok)
+        n_excluded = cfg.trials - keep.size
+        g_zf = gain_zf[keep]
+        rate_zf = [np.log2(1.0 + rho * g_zf) for rho in rhos]
+        for c_db, gain in zip(axes.c_db, gain_opt):
+            g_opt = gain[keep]
             ps_mean, ps_ci = _mean_ci(1.0 - g_zf / g_opt)
-            for rho_db in axes.rho_db:
-                rho = db_to_linear(float(rho_db))
-                tg_vals = np.log2(1.0 + rho * g_opt) / np.log2(1.0 + rho * g_zf) - 1.0
-                tg_mean, tg_ci = _mean_ci(tg_vals)
+            for rho_db, rho, r_zf in zip(axes.rho_db, rhos, rate_zf):
+                tg_mean, tg_ci = _mean_ci(np.log2(1.0 + rho * g_opt) / r_zf - 1.0)
                 points.append(SweepPoint(n_t=int(n_t), rho_db=float(rho_db),
                                          c_db=float(c_db), tg_mean=tg_mean,
                                          tg_ci=tg_ci, ps_mean=ps_mean,

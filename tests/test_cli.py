@@ -1,8 +1,10 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+import fdbf.cli
 from conftest import child_env
 from fdbf.cli import (Settings, UsageError, build_parser, main, parse_axis,
                       parse_config)
@@ -131,6 +133,23 @@ class TestSettings:
                          "--out-dir", str(tmp_path)]) == 2
             assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--trials"), ("verify", "--instances"),
+        ("verify", "--samples"), ("bench", "--repeats"),
+        ("sweep", "--grid-points")])
+    def test_count_bound(self, command, flag):
+        top = 2 ** 63 - 1
+        settings_for([command, flag, str(top)])
+        with pytest.raises(UsageError, match=r"<= 2\*\*63 - 1"):
+            settings_for([command, flag, str(top + 1)])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "1e30"], ["verify", "--samples", "1e30"],
+        ["verify", "--instances", "1e30"]])
+    def test_huge_counts_are_usage_errors(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("flag, value", [
         ("--nt", "0"), ("--c-db", "nan"), ("--rho-db", "inf"),
@@ -212,6 +231,32 @@ class TestSweepCommand:
         main(args + ["--threads", "4", "--out-dir", str(tmp_path / "b")])
         assert (tmp_path / "a" / "tg.csv").read_bytes() == \
                (tmp_path / "b" / "tg.csv").read_bytes()
+
+    @pytest.mark.parametrize("axes, digests", [
+        (["--nt", "64", "--c-db", "-130..-80:5"],  # six row blocks
+         {"tg.csv": "2c1470ce2f7613e2710d0fb9f96f1737c46f3f63f8a0971771d3d34dd87ed3c3",
+          "ps.csv": "a97b834eb9d1ff56cf2c07ff10c6fc83bc8c507fcdf91a504ed65633d5d1275c"}),
+        (["--nt", "1..9:2", "--c-db", "-120"],
+         {"tg.csv": "60864a35bb716542391684b3dc941d077ffff4fe2ba7d9c3e1cd2b0be67b9004",
+          "ps.csv": "01310da7d51b694c7b8174e7558070189126800dedb63aaede42954a55de3043"}),
+    ], ids=["c_axis", "nt_axis"])
+    def test_output_bytes_are_pinned(self, tmp_path, axes, digests):
+        rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials", "1500",
+                   "--seed", "7", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+                == digest, name
+
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys,
+                                            monkeypatch):
+        def no_memory(cfg, axes=None):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(fdbf.cli, "run_sweep", no_memory)
+        assert main(["sweep", "--trials", "5", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: out of memory: Unable to allocate 8.00 EiB\n"
 
     def test_out_dir_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -223,6 +223,23 @@ class TestRunSweep:
                                              (pt.c_db,)))
             assert alone.points == (pt,)
 
+    def test_one_solve_per_array_size(self, monkeypatch):
+        # the whole c axis goes to the kernel in one call per n_t
+        real_solve = fdbf.experiment.kernels.solve_batch
+        caps = []
+
+        def counting_solve(h_d, a, eps):
+            caps.append(np.shape(eps))
+            return real_solve(h_d, a, eps)
+
+        monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
+                            counting_solve)
+        axes = SweepAxes(n_t=(2, 3), rho_db=(0.0, 10.0),
+                         c_db=(-120.0, -110.0, -100.0))
+        res = run_sweep(SystemConfig(trials=40, seed=6), axes)
+        assert caps == [(3,), (3,)]
+        assert len(res.points) == 12
+
     def test_deterministic_across_runs(self):
         cfg = SystemConfig(trials=100, seed=9)
         assert run_sweep(cfg).points == run_sweep(cfg).points

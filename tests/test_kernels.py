@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 
 from fdbf import kernels
 from fdbf.beamform import DegenerateParallelError, family, optimal, zf
+from fdbf.channel import SystemConfig, si_threshold
+from fdbf.experiment import draw_batch
 from fdbf.numerics import inner, matvec_adj, norm_sq
 
 from conftest import canonical_realization, child_env, random_instance
@@ -140,6 +143,182 @@ class TestSolveBatch:
         # row 1: gram = 9 but eta = 36 - 0.5*4 > 0, still backoff
         assert si[1] == pytest.approx(eps, rel=1e-12)
         assert not zf_ok[1]
+
+
+def _solve_batch_one_cap(h_d, a, eps):
+    """solve_batch_numpy as it was before the cap axis: one scalar cap, all
+    rows at once, every cap-independent term recomputed. The reference the
+    cap-axis kernel must reproduce bit for bit."""
+    h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    tol_sq = kernels._PAR_TOL_SQ
+    hd2 = np.einsum("ij,ij->i", h_d.conj(), h_d).real
+    gram = np.einsum("ij,ij->i", a.conj(), a).real
+    c = np.einsum("ij,ij->i", a.conj(), h_d)
+    mag = c.real ** 2 + c.imag ** 2
+    safe_gram = np.where(gram > 0.0, gram, 1.0)
+    coef = np.where(gram > 0.0, c / safe_gram, 0.0)
+    p = a * coef[:, None]
+    q = h_d - p
+    q2 = np.einsum("ij,ij->i", q.conj(), q).real
+    eta = mag - eps * hd2
+    active = (eta > 0.0) & (gram > eps)
+    den = np.where(active, gram - eps, 1.0)
+    safe_mag = np.where(mag > 0.0, mag, 1.0)
+    b2 = (eps / den) * (q2 * gram / safe_mag)
+    alpha = np.where(active, 1.0 - np.minimum(1.0, np.sqrt(b2)), 0.0)
+    w_un = h_d - alpha[:, None] * p
+    zf_ok = q2 > tol_sq * hd2
+    cq = np.einsum("ij,ij->i", h_d.conj(), q)
+    gain_zf = np.divide(cq.real ** 2 + cq.imag ** 2, q2,
+                        out=np.zeros_like(q2), where=zf_ok)
+    w2 = np.einsum("ij,ij->i", w_un.conj(), w_un).real
+    live = w2 > tol_sq * hd2
+    safe_w2 = np.where(live, w2, 1.0)
+    cw = np.einsum("ij,ij->i", h_d.conj(), w_un)
+    ca = np.einsum("ij,ij->i", a.conj(), w_un)
+    gain_opt = (cw.real ** 2 + cw.imag ** 2) / safe_w2
+    si_opt = (ca.real ** 2 + ca.imag ** 2) / safe_w2
+    norm_w = np.ones_like(w2)
+    dead = ~live
+    gain_opt[dead] = (eps * hd2 * hd2 / safe_mag)[dead]
+    si_opt[dead] = eps
+    norm_w[dead] = np.sqrt(eps * hd2 / safe_mag)[dead]
+    return alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok
+
+
+def assert_matches_per_cap(got, h, a, caps):
+    """got = solve_batch(h, a, caps) equals the reference at every cap."""
+    alpha, si, gain, gain_zf, norm_w, zf_ok = got
+    for k, eps in enumerate(caps):
+        ref = _solve_batch_one_cap(h, a, float(eps))
+        for x, y in zip((alpha[k], si[k], gain[k], gain_zf, norm_w[k], zf_ok),
+                        ref):
+            np.testing.assert_array_equal(x, y)
+
+
+def random_rows(rng, n, n_t):
+    """Rows of h_d and a with per-row scales over six decades."""
+    def rows():
+        z = rng.standard_normal((n, n_t)) + 1j * rng.standard_normal((n, n_t))
+        return z * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return rows(), rows()
+
+
+def block_rows(n_t):
+    return max(1, kernels._BLOCK_ENTRIES // n_t)
+
+
+# rows of test_mixed_edge_rows plus the alpha = 1.0 and zero-channel rows
+_EDGE_H = [[0.5 ** 0.5, 0.5 ** 0.5], [0.5 ** 0.5, 0.5 ** 0.5], [1.0, 0.0],
+           [2.0, 2.0j], [1.0, 1e-10], [0.0, 0.0]]
+_EDGE_A = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0],
+           [0.25, 0.25j], [1.0, 0.0], [1.0, 1.0]]
+_EDGE_CAPS = np.array([0.0, 1e-14, 0.1, 0.5, 10.0])
+
+
+def with_edge_rows(h, a, starts):
+    """Copies of h, a with the edge rows written in at each start row."""
+    h, a = h.copy(), a.copy()
+    for start in starts:
+        h[start:start + len(_EDGE_H)] = np.array(_EDGE_H, dtype=complex)
+        a[start:start + len(_EDGE_A)] = np.array(_EDGE_A, dtype=complex)
+    return h, a
+
+
+def edge_rows_across_a_boundary(rng):
+    """Random n_t = 2 rows with the edge rows on both sides of the first
+    block boundary and at the very end."""
+    rows = block_rows(2)
+    h, a = random_rows(rng, 2 * rows + 5, 2)
+    return with_edge_rows(h, a, (rows - 3, len(h) - len(_EDGE_H)))
+
+
+class TestCapAxis:
+    @pytest.mark.parametrize("n_t", [1, 2, 10, 64])
+    def test_bit_identical_to_one_solve_per_cap(self, n_t):
+        rng = np.random.default_rng(40 + n_t)
+        rows = block_rows(n_t)
+        h, a = random_rows(rng, 2 * rows + rows // 3 + 1, n_t)
+        gram = np.einsum("ij,ij->i", a.conj(), a).real
+        # from every row active (eps = 0) to none (eps above every |a|^2)
+        caps = np.concatenate([[0.0], np.logspace(-12.0, 7.0, 12),
+                               [2.0 * gram.max()]])
+        got = kernels.solve_batch_numpy(h, a, caps)
+        assert np.all(got[0][0] > 0.0) and np.all(got[0][-1] == 0.0)
+        assert_matches_per_cap(got, h, a, caps)
+
+    def test_edge_rows_on_both_sides_of_a_block_boundary(self):
+        h, a = edge_rows_across_a_boundary(np.random.default_rng(47))
+        got = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        assert_matches_per_cap(got, h, a, _EDGE_CAPS)
+        alpha, _, gain, gain_zf, norm_w, zf_ok = got
+        rows = block_rows(2)
+        for at in (rows - 3, len(h) - len(_EDGE_H)):
+            # the alpha = 1.0 row transmits the zero-forcing vector
+            assert alpha[1, at + 4] == 1.0 and gain[1, at + 4] == gain_zf[at + 4]
+            # the parallel row backs off power, the zero channel has none
+            assert not zf_ok[at + 3] and 0.0 < norm_w[2, at + 3] < 1.0
+            assert norm_w[2, at + 5] == 0.0
+
+    @pytest.mark.parametrize("entries", [1, 3 * 2, 7 * 2])
+    def test_block_size_does_not_change_the_solve(self, monkeypatch, entries):
+        h, a = random_rows(np.random.default_rng(48), 60, 2)
+        h, a = with_edge_rows(h, a, (11, 54))
+        whole = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
+        blocked = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        for x, y in zip(whole, blocked):
+            np.testing.assert_array_equal(x, y)
+
+    def test_output_shapes(self):
+        h, a = random_rows(np.random.default_rng(49), 7, 3)
+        scalar = kernels.solve_batch_numpy(h, a, 1e-3)
+        assert [x.shape for x in scalar] == [(7,)] * 6
+        axis = kernels.solve_batch_numpy(h, a, [1e-3, 1e-2, 1.0])
+        assert [x.shape for x in axis] == [(3, 7), (3, 7), (3, 7), (7,),
+                                           (3, 7), (7,)]
+        assert scalar[5].dtype == axis[5].dtype == bool
+        for k in (0, 1, 2, 4):
+            np.testing.assert_array_equal(scalar[k], axis[k][0])
+
+    @pytest.mark.parametrize("eps", [[], [[0.1, 0.2]]], ids=["empty", "2-D"])
+    def test_rejects_other_cap_shapes(self, eps):
+        h, a = random_rows(np.random.default_rng(50), 4, 2)
+        with pytest.raises(ValueError, match="eps"):
+            kernels.solve_batch_numpy(h, a, eps)
+
+    def test_sweep_solve_bytes_are_pinned(self):
+        # the solve behind test_cli's c-axis CSV pin; the CSVs print 10
+        # digits and miss a one-ulp change, these digests do not
+        cfg = SystemConfig(n_t=64, trials=1500, seed=7)
+        h, a = draw_batch(cfg)
+        caps = [si_threshold(cfg.replace(c_db=float(c_db)))
+                for c_db in range(-130, -79, 5)]
+        got = dict(zip(("alpha", "si_opt", "gain_opt", "gain_zf", "norm_w",
+                        "zf_ok"), kernels.solve_batch_numpy(h, a, caps)))
+        assert {k: hashlib.sha256(x.tobytes()).hexdigest()
+                for k, x in got.items()} == {
+            "alpha": "072cc004e7a12e7b13dc8280490ee6f5c5e4db5fd2ef90e6fc38560d48ea31a0",
+            "si_opt": "138e16444e86ea3d3e603bdbe8d7227982a0cc46b96e21e0183f08f17c2024a3",
+            "gain_opt": "93d6c7b9ac9cf446f549cbe3c8ff592ba2ce1b17eb93a4627db6818983e109af",
+            "gain_zf": "c983a960af630049e82417acf86d7eb78fca8e6aa8ee122ce5d6ae368bd7a67c",
+            "norm_w": "688456608f8835cb7ab7f0d1918c2af9c8f3d50aad56bb7336a1cd37006a6666",
+            "zf_ok": "b6f524d4dcd4f01a9cadd967f443875150f2a303fa0284179dafdee9fd9ac8d2",
+        }
+
+    def test_per_cap_stacking_matches_the_array_call(self):
+        # the helper that gives the numba kernel its cap axis, driven here by
+        # the numpy kernel
+        h, a = edge_rows_across_a_boundary(np.random.default_rng(51))
+        stacked = kernels._per_cap(kernels.solve_batch_numpy, h, a, _EDGE_CAPS)
+        for x, y in zip(stacked,
+                        kernels.solve_batch_numpy(h, a, _EDGE_CAPS)):
+            assert x.shape == y.shape
+            np.testing.assert_array_equal(x, y)
+        for x, y in zip(kernels._per_cap(kernels.solve_batch_numpy, h, a, 0.1),
+                        kernels.solve_batch_numpy(h, a, 0.1)):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestSolveOne:
