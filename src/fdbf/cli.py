@@ -43,6 +43,14 @@ _ORACLE_STREAM_BASE = 1_000_000
 # largest count flag: the largest array dimension numpy can represent
 _MAX_COUNT = 2 ** 63 - 1
 
+# Python objects around one stored realization's arrays, in bytes (about
+# 0.7-1.1 KiB measured with tracemalloc)
+_REALIZATION_OVERHEAD = 1024
+
+
+def _physical_bytes():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 class UsageError(Exception):
     """Invalid flags or config; mapped to exit code 2."""
@@ -196,6 +204,20 @@ class Settings:
         for field in ("trials", "repeats", "instances", "samples", "grid_points"):
             if getattr(self, field) > _MAX_COUNT:
                 raise UsageError(f"{field} must be <= 2**63 - 1")
+        # the largest array each count sizes: the batched channel draw (h_d
+        # and a), the sampling oracle's candidates, the timed realizations
+        n_t, n_r = max(self.nt), self.nr
+        sized = {"trials": 2 * 16 * n_t,
+                 "samples": 16 * n_t,
+                 "repeats": (16 * (2 * n_r + n_t + n_r * n_t)
+                             + _REALIZATION_OVERHEAD)}
+        memory = _physical_bytes()
+        for field, item_bytes in sized.items():
+            count = getattr(self, field)
+            if count * item_bytes > memory:
+                raise UsageError(f"{field} = {count} needs about "
+                                 f"{count * item_bytes} bytes, more than the "
+                                 f"{memory} bytes of physical memory")
         if not 0 <= self.seed < 2 ** 64:
             raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
         # every model point the run will build, so a bad value is a usage

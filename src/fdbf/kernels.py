@@ -61,6 +61,16 @@ def _cmat(x):
     return np.ascontiguousarray(x, dtype=np.complex128)
 
 
+def _batch_rows(h_d, a):
+    """h_d and a of a batch solve as (n, n_t) complex128; equal shapes only."""
+    h_d = _cvec(h_d).reshape(len(h_d), -1)
+    a = _cvec(a).reshape(len(a), -1)
+    if h_d.shape != a.shape:
+        raise ValueError(f"h_d and a must have the same shape, "
+                         f"got {h_d.shape} and {a.shape}")
+    return h_d, a
+
+
 # ---------------------------------------------------------------------------
 # pure-numpy backend
 # ---------------------------------------------------------------------------
@@ -102,8 +112,7 @@ def solve_batch_numpy(h_d, a, eps):
     are the block's Gram terms. Every value is bit-identical to a solve
     with that cap alone.
     """
-    h_d = _cvec(h_d).reshape(len(h_d), -1)
-    a = _cvec(a).reshape(len(a), -1)
+    h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
     e = caps.reshape(-1, 1)  # one row per cap, broadcast over a block's rows
     m, (n, n_t) = len(e), h_d.shape
@@ -484,8 +493,7 @@ if _NUMBA_OK:
         return best_idx, best_gain, best_scale, max_violation
 
     def solve_batch_numba(h_d, a, eps):
-        h_d = _cvec(h_d).reshape(len(h_d), -1)
-        a = _cvec(a).reshape(len(a), -1)
+        h_d, a = _batch_rows(h_d, a)
         return _per_cap(_solve_batch_nb, h_d, a, eps)
 
     def solve_one_numba(h_d, H, v, eps):

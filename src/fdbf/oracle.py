@@ -121,26 +121,24 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
                         n_feasible=int(samples))
 
 
-def _median_per_solve_ns(fn, inputs, passes):
-    """Median over timing passes of (wall time of one full loop) / len(inputs)."""
-    per_solve = []
-    for _ in range(passes):
-        t0 = time.perf_counter_ns()
-        for args in inputs:
-            fn(*args)
-        t1 = time.perf_counter_ns()
-        per_solve.append((t1 - t0) / len(inputs))
-    return float(statistics.median(per_solve))
+def _per_solve_ns(fn, inputs):
+    """Wall time of one loop of fn over inputs, divided by len(inputs)."""
+    t0 = time.perf_counter_ns()
+    for args in inputs:
+        fn(*args)
+    return (time.perf_counter_ns() - t0) / len(inputs)
 
 
 def timing_bench(realizations, grid_points, passes=5):
     """Median wall-clock nanoseconds per solve: closed form vs grid search.
 
     Both methods run single-threaded on identical inputs, starting from the
-    raw (h_d, H, v) triple so each pays for its own a = H^H v. Timing is
-    amortized over the whole realization list per pass and the median across
-    passes is reported. Returns (closed_ns, grid_ns, speedup) with
-    speedup = grid_ns / closed_ns.
+    raw (h_d, H, v) triple so each pays for its own a = H^H v. Each pass
+    times one loop of each method over the whole realization list, back to
+    back, alternating which runs first, so a change of machine speed
+    between passes moves both loops alike. Returns (closed_ns, grid_ns,
+    speedup): the medians over passes of the per-solve times and of the
+    per-pass ratios grid/closed.
     """
     if not realizations:
         raise ValueError("need at least one realization")
@@ -158,9 +156,15 @@ def timing_bench(realizations, grid_points, passes=5):
         return kernels.grid_scan(h_d, _along(h_d, a), a, eps, n_grid,
                                  GRID_FEAS_TOL)
 
-    kernels.warmup()
     kernels.solve_one(*closed_inputs[0])
     run_grid(*grid_inputs[0])
-    closed_ns = _median_per_solve_ns(kernels.solve_one, closed_inputs, passes)
-    grid_ns = _median_per_solve_ns(run_grid, grid_inputs, passes)
-    return closed_ns, grid_ns, grid_ns / closed_ns
+    closed, grid = [], []
+    for k in range(passes):
+        if k % 2 == 0:
+            closed.append(_per_solve_ns(kernels.solve_one, closed_inputs))
+            grid.append(_per_solve_ns(run_grid, grid_inputs))
+        else:
+            grid.append(_per_solve_ns(run_grid, grid_inputs))
+            closed.append(_per_solve_ns(kernels.solve_one, closed_inputs))
+    return (float(statistics.median(closed)), float(statistics.median(grid)),
+            float(statistics.median(g / c for g, c in zip(grid, closed))))

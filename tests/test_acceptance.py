@@ -268,9 +268,7 @@ def test_criterion_07_quantitative_targets(antenna_sweep, cancellation_sweep,
 def test_criterion_08_complexity_scaling():
     """Closed form vs 1e3-point grid search: at least 10x faster at every
     n_t in {2,...,64} and at-most-linear growth in n_t (4x slack).
-    Budget 2 min. Timing target calibrated for the default backend."""
-    if kernels.BACKEND != "numba":
-        pytest.skip("timing target calibrated for the default numba backend")
+    Budget 2 min. The speedup is the median of per-pass paired ratios."""
     t0 = time.perf_counter()
     sizes = (2, 4, 8, 16, 32, 64)
     closed = {}
@@ -280,6 +278,8 @@ def test_criterion_08_complexity_scaling():
                         for t in range(150)]
         closed_ns, grid_ns, speedup = timing_bench(realizations, 1000, passes=5)
         closed[n_t] = closed_ns
+        print(f"n_t={n_t}: closed {closed_ns:.0f} ns, grid {grid_ns:.0f} ns, "
+              f"speedup {speedup:.2f}x (target >= 10)")
         assert speedup >= 10.0, (
             f"n_t={n_t}: grid search only {speedup:.1f}x slower")
     for n_t in sizes[1:]:

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -137,7 +138,9 @@ class TestSettings:
         ("sweep", "--trials"), ("verify", "--instances"),
         ("verify", "--samples"), ("bench", "--repeats"),
         ("sweep", "--grid-points")])
-    def test_count_bound(self, command, flag):
+    def test_count_bound(self, command, flag, monkeypatch):
+        # memory large enough for any count: this tests the 2**63 - 1 limit
+        monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 2 ** 200)
         top = 2 ** 63 - 1
         settings_for([command, flag, str(top)])
         with pytest.raises(UsageError, match=r"<= 2\*\*63 - 1"):
@@ -145,10 +148,20 @@ class TestSettings:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--trials", "1e30"], ["verify", "--samples", "1e30"],
-        ["verify", "--instances", "1e30"]])
+        ["verify", "--instances", "1e30"], ["sweep", "--trials", "1e18"],
+        ["verify", "--samples", "1e18", "--instances", "1"],
+        ["bench", "--repeats", "1e18"]])
     def test_huge_counts_are_usage_errors(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "out of memory" not in err
+        assert peak < 1 << 20  # refused before any array is allocated
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("flag, value", [

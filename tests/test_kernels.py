@@ -288,6 +288,12 @@ class TestCapAxis:
         with pytest.raises(ValueError, match="eps"):
             kernels.solve_batch_numpy(h, a, eps)
 
+    @pytest.mark.parametrize("a_shape", [(5, 2), (3, 3)], ids=["rows", "columns"])
+    def test_rejects_mismatched_shapes(self, a_shape):
+        h = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="same shape"):
+            kernels.solve_batch(h, np.ones(a_shape, dtype=complex), 0.01)
+
     def test_sweep_solve_bytes_are_pinned(self):
         # the solve behind test_cli's c-axis CSV pin; the CSVs print 10
         # digits and miss a one-ulp change, these digests do not

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fdbf import kernels, oracle
 from fdbf.beamform import mrt, optimal, zf
 from fdbf.channel import ChannelRealization
 from fdbf.numerics import RngState, matvec_adj, norm_sq
@@ -151,8 +152,42 @@ class TestTimingBench:
             realizations.append(ChannelRealization(h_u=v.copy(), h_d=h_d, H=H,
                                                    v=v, epsilon=eps))
         closed_ns, grid_ns, speedup = timing_bench(realizations, 201, passes=3)
-        assert closed_ns > 0.0 and grid_ns > 0.0
-        assert speedup == grid_ns / closed_ns
+        assert closed_ns > 0.0 and grid_ns > 0.0 and speedup > 0.0
+
+    def test_pairs_alternating_passes_on_a_scripted_clock(self, monkeypatch):
+        # each fake kernel call advances the clock by its cost in the current
+        # pass (four clock reads per pass); the median of the per-pass ratios
+        # (20) differs from the ratio of the medians (15)
+        closed_cost, grid_cost = [10, 20, 40], [200, 300, 1000]
+        state = {"now": 0, "reads": 0}
+        log = []
+
+        def clock():
+            state["reads"] += 1
+            log.append("t")
+            return state["now"]
+
+        def fake(name, costs, result):
+            def run(*args):
+                log.append(name)
+                state["now"] += costs[state["reads"] // 4]
+                return result
+            return run
+
+        monkeypatch.setattr(oracle.time, "perf_counter_ns", clock)
+        monkeypatch.setattr(kernels, "solve_one",
+                            fake("c", closed_cost, (0.0, 0.0, 0.0, 1.0)))
+        monkeypatch.setattr(kernels, "grid_scan",
+                            fake("g", grid_cost, (0, 1.0, 1, 0.0)))
+        n = 3
+        closed_ns, grid_ns, speedup = timing_bench(
+            [canonical_realization()] * n, 101, passes=3)
+        c, g = ["c"] * n, ["g"] * n
+        assert log == ["c", "g",                       # one warm call each
+                       "t", *c, "t", "t", *g, "t",     # pass 0: closed first
+                       "t", *g, "t", "t", *c, "t",     # pass 1: grid first
+                       "t", *c, "t", "t", *g, "t"]     # pass 2: closed first
+        assert (closed_ns, grid_ns, speedup) == (20.0, 300.0, 20.0)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
