@@ -204,6 +204,10 @@ class Settings:
         for field in ("trials", "repeats", "instances", "samples", "grid_points"):
             if getattr(self, field) > _MAX_COUNT:
                 raise UsageError(f"{field} must be <= 2**63 - 1")
+        # past 2**53 + 1 points the grid g/(grid_points - 1) repeats float64
+        # alphas, so a finer grid certifies nothing more
+        if self.grid_points > 2 ** 53 + 1:
+            raise UsageError("grid_points must be <= 2**53 + 1")
         # the largest array each count sizes: the batched channel draw (h_d
         # and a), the sampling oracle's candidates, the timed realizations
         n_t, n_r = max(self.nt), self.nr

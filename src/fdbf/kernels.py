@@ -8,8 +8,8 @@ environment variable:
     numba  require numba, fail at import if missing
     numpy  force the pure-numpy path even when numba is installed
 
-Both backends implement identical arithmetic on complex128 and agree to
-float rounding; they differ only in speed. The module-level names
+Both backends implement the same math on complex128 and agree to float
+rounding; they differ only in speed. The module-level names
 `solve_batch`, `solve_one`, `grid_scan`, `sample_scan` point at the selected
 backend; the `*_numpy` / `*_numba` variants stay importable for side-by-side
 benchmarks.
@@ -17,7 +17,15 @@ benchmarks.
 Shared conventions: channels enter unnormalized, beamformers are normalized
 inside the kernel, downlink gain |h_d^H w|^2 and leakage |a^H w|^2 are
 reported for the normalized vector. A projection residual with squared norm
-below 1e-24 * ||h_d||^2 counts as zero (the parallel corner).
+below 1e-24 * ||h_d||^2 counts as zero (the parallel corner). Caps must be
+finite and >= 0 (0 asks for full nulling) and channels finite, or the numpy
+kernels raise ValueError.
+
+The numpy solvers take their gains from Gram scalars: with h_d = q + p and
+q orthogonal to p, the optimum w ∝ q + (1 - alpha) p has every norm and
+gain in closed form from ||q||^2, ||p||^2 and |a^H h_d|^2. `_gram_gains`
+states that once, for `solve_one` on Python floats and `solve_batch` on
+arrays; the numba twins still form w.
 
 `solve_batch` takes one cap or a 1-D axis of caps. A sweep over the SIC
 level hands it the whole axis in one call: the numpy kernel computes the
@@ -86,12 +94,39 @@ def _caps(eps):
     caps = np.asarray(eps, dtype=np.float64)
     if caps.ndim > 1 or (caps.ndim == 1 and caps.size == 0):
         raise ValueError("eps must be a scalar or a non-empty 1-D array of caps")
+    bad = caps[~(np.isfinite(caps) & (caps >= 0.0))]
+    if bad.size:
+        raise ValueError(f"eps must be finite and >= 0, got {bad[0]}")
     return caps
+
+
+# a non-finite entry, or one so large that ||h_d||^2 ||a||^2 overflows, makes
+# the product of the two reductions inf or nan: checking it costs O(n), not O(n n_t)
+_NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float64 range"
 
 
 def _dot_rows(x, y):
     """Row-wise sum of x * y: the one reduction every batched term uses."""
     return np.einsum("ij,ij->i", x, y)
+
+
+def _gram_gains(q2, p2, mag, b):
+    """Norm and gains of w ∝ q + b p from Gram scalars, on floats or arrays.
+
+    q2 = ||q||^2, p2 = ||p||^2 = mag/||a||^2, mag = |a^H h_d|^2 and
+    b = 1 - alpha. Since h_d = q + p with q orthogonal to p, the unnormalized
+    w has ||w||^2 = q2 + b^2 p2, h_d^H w = q2 + b p2 and |a^H w|^2 = b^2 mag.
+    Returns (w2, gain, si): ||w||^2 and the downlink gain and leakage of the
+    normalized w. Squares are x * x, which rounds alike on Python floats and
+    numpy arrays (a float's ** 2 is libm pow); gain is mu * (mu / w2), which
+    stays finite wherever mu is. w2 = 0 only in the parallel corner, whose
+    gains every caller replaces: dividing by 1 there neither raises nor warns.
+    """
+    bb = b * b
+    w2 = q2 + bb * p2
+    mu = q2 + b * p2
+    d = w2 + (w2 == 0.0)
+    return w2, mu * (mu / d), bb * mag / d
 
 
 def solve_batch_numpy(h_d, a, eps):
@@ -107,10 +142,13 @@ def solve_batch_numpy(h_d, a, eps):
     to a). This is the vectorized form of beamform.closed_form.
 
     Rows go in blocks of about _BLOCK_ENTRIES entries. Each block computes
-    its cap-independent geometry once; per cap, only rows with alpha != 0
-    form w = h_d - alpha p, and the rest transmit h_d itself, whose gains
-    are the block's Gram terms. Every value is bit-identical to a solve
-    with that cap alone.
+    its cap-independent geometry once, then alpha and the gains for all its
+    caps at once, elementwise: rows with alpha != 0 take them from
+    _gram_gains, in O(1) per (row, cap) pair, rows with alpha = 0 transmit
+    h_d itself, and rows with alpha = 1 transmit the zero-forcing vector
+    and report gain_zf. Every value is bit-identical to a solve with that
+    cap alone. Raises ValueError on a cap that is not finite or below 0,
+    and on channels whose ||h_d||^2 ||a||^2 is not finite.
     """
     h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
@@ -130,6 +168,8 @@ def solve_batch_numpy(h_d, a, eps):
         hh = _dot_rows(hc, h)
         hd2 = hh.real
         gram = _dot_rows(ac, ab).real
+        if not np.all(np.isfinite(hd2 * gram)):
+            raise ValueError(_NOT_FINITE)
         c = _dot_rows(ac, h)
         mag = c.real ** 2 + c.imag ** 2
 
@@ -153,33 +193,27 @@ def solve_batch_numpy(h_d, a, eps):
         al = alpha[:, blk] = np.where(active,
                                       1.0 - np.minimum(1.0, np.sqrt(b2)), 0.0)
 
-        # alpha = 0 transmits h_d itself: |w|^2 = hd2, h_d^H w = hh, a^H w = c
-        live = np.repeat((hd2 > tol)[None, :], m, axis=0)
-        safe_hd2 = np.where(live[0], hd2, 1.0)
+        # alpha != 0 transmits w ∝ q + (1 - alpha) p: gains from the Gram
+        # terms; alpha = 0 transmits h_d itself: |w|^2 = hd2, h_d^H w = hh,
+        # a^H w = c
+        on = al != 0.0
+        w2, g, s = _gram_gains(q2, mag / safe_gram, mag, 1.0 - al)
+        live = np.where(on, w2, hd2) > tol
+        safe_hd2 = np.where(hd2 > tol, hd2, 1.0)
         gain = gain_opt[:, blk]
         si = si_opt[:, blk]
-        gain[:] = (hh.real ** 2 + hh.imag ** 2) / safe_hd2
-        si[:] = mag / safe_hd2
-        for k in range(m):
-            idx = np.flatnonzero(al[k])
-            if idx.size == 0:
-                continue
-            if idx.size == al.shape[1]:
-                idx = slice(None)  # every row active: no gather
-            w = h[idx] - al[k, idx, None] * p[idx]
-            w2 = _dot_rows(w.conj(), w).real
-            lv = live[k, idx] = w2 > tol[idx]
-            safe_w2 = np.where(lv, w2, 1.0)
-            cw = _dot_rows(hc[idx], w)
-            ca = _dot_rows(ac[idx], w)
-            gain[k, idx] = (cw.real ** 2 + cw.imag ** 2) / safe_w2
-            si[k, idx] = (ca.real ** 2 + ca.imag ** 2) / safe_w2
+        gain[:] = np.where(on, g, (hh.real ** 2 + hh.imag ** 2) / safe_hd2)
+        si[:] = np.where(on, s, mag / safe_hd2)
+        zf_row = al == 1.0
+        if zf_row.any():
+            # alpha = 1 transmits the zero-forcing vector q itself
+            gain[zf_row] = np.broadcast_to(gain_zf[blk], zf_row.shape)[zf_row]
 
         if not live.all():
             # parallel corner: transmit along h_d at reduced power, leakage on the cap
             dead = ~live
             eh = e * hd2
-            gain[dead] = (eh * hd2 / safe_mag)[dead]
+            gain[dead] = (eh / safe_mag * hd2)[dead]
             si[dead] = np.broadcast_to(e, dead.shape)[dead]
             norm_w[:, blk][dead] = np.sqrt(eh / safe_mag)[dead]
     out = caps.shape + (n,)
@@ -192,11 +226,11 @@ def solve_one_numpy(h_d, H, v, eps):
 
     Returns (alpha, si_opt, gain_opt, norm_w). Counts the full work of one
     solve including the effective leakage direction a = H^H v. alpha comes
-    from beamform.closed_form. Since h_d = p + q and w(alpha) ∝ q + (1-alpha) p
-    with q orthogonal to p, every norm and gain is a sum of nonnegative
-    Gram terms, and the scalars stay Python floats.
+    from beamform.closed_form and the gains from _gram_gains, on Python
+    floats. Raises ValueError on a cap that is not finite or below 0, and on
+    a channel or leakage direction whose ||h_d||^2 ||a||^2 is not finite.
     """
-    a = v @ H.conj()
+    a = np.dot(v, H.conj())
     gram = float(np.vdot(a, a).real)
     cc = complex(np.vdot(a, h_d))
     mag = abs(cc) ** 2
@@ -207,12 +241,15 @@ def solve_one_numpy(h_d, H, v, eps):
         p2, q = 0.0, h_d
     q2 = float(np.vdot(q, q).real)
     hd2 = q2 + p2
+    if not math.isfinite(hd2 * gram):
+        raise ValueError(_NOT_FINITE)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     alpha, backoff = closed_form(hd2, gram, mag, q2, eps)
-    b = 1.0 - alpha
-    w2 = q2 + b * b * p2
+    w2, gain, si = _gram_gains(q2, p2, mag, 1.0 - alpha)
     if w2 <= _PAR_TOL_SQ * hd2:
         return alpha, eps, backoff * backoff * hd2, backoff
-    return alpha, b * b * mag / w2, (q2 + b * p2) ** 2 / w2, 1.0
+    return alpha, si, gain, 1.0
 
 
 _GRID_CHUNK = 65536

@@ -139,12 +139,19 @@ class TestSettings:
         ("verify", "--samples"), ("bench", "--repeats"),
         ("sweep", "--grid-points")])
     def test_count_bound(self, command, flag, monkeypatch):
-        # memory large enough for any count: this tests the 2**63 - 1 limit
+        # memory large enough for any count: this tests the 2**63 - 1 limit,
+        # and for the grid the 2**53 + 1 points past which alphas repeat
         monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 2 ** 200)
-        top = 2 ** 63 - 1
+        if flag == "--grid-points":
+            top, limit = 2 ** 53 + 1, r"<= 2\*\*53 \+ 1"
+        else:
+            top, limit = 2 ** 63 - 1, r"<= 2\*\*63 - 1"
         settings_for([command, flag, str(top)])
-        with pytest.raises(UsageError, match=r"<= 2\*\*63 - 1"):
+        with pytest.raises(UsageError, match=limit):
             settings_for([command, flag, str(top + 1)])
+        if flag == "--grid-points":  # this once scanned without end
+            with pytest.raises(UsageError, match=limit):
+                settings_for(["verify", flag, "1e18"])
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--trials", "1e30"], ["verify", "--samples", "1e30"],

@@ -146,9 +146,57 @@ class TestSolveBatch:
 
 
 def _solve_batch_one_cap(h_d, a, eps):
-    """solve_batch_numpy as it was before the cap axis: one scalar cap, all
-    rows at once, every cap-independent term recomputed. The reference the
-    cap-axis kernel must reproduce bit for bit."""
+    """solve_batch_numpy for one scalar cap: all rows at once, every
+    cap-independent term recomputed, and the gains of rows with alpha != 0
+    from the Gram terms. The reference the cap-axis kernel must reproduce
+    bit for bit."""
+    h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    tol_sq = kernels._PAR_TOL_SQ
+    hh = np.einsum("ij,ij->i", h_d.conj(), h_d)
+    hd2 = hh.real
+    gram = np.einsum("ij,ij->i", a.conj(), a).real
+    c = np.einsum("ij,ij->i", a.conj(), h_d)
+    mag = c.real ** 2 + c.imag ** 2
+    safe_gram = np.where(gram > 0.0, gram, 1.0)
+    coef = np.where(gram > 0.0, c / safe_gram, 0.0)
+    p = a * coef[:, None]
+    q = h_d - p
+    q2 = np.einsum("ij,ij->i", q.conj(), q).real
+    eta = mag - eps * hd2
+    active = (eta > 0.0) & (gram > eps)
+    den = np.where(active, gram - eps, 1.0)
+    safe_mag = np.where(mag > 0.0, mag, 1.0)
+    b2 = (eps / den) * (q2 * gram / safe_mag)
+    alpha = np.where(active, 1.0 - np.minimum(1.0, np.sqrt(b2)), 0.0)
+    zf_ok = q2 > tol_sq * hd2
+    cq = np.einsum("ij,ij->i", h_d.conj(), q)
+    gain_zf = np.divide(cq.real ** 2 + cq.imag ** 2, q2,
+                        out=np.zeros_like(q2), where=zf_ok)
+    # w = q + b p with b = 1 - alpha; at alpha = 0 it is h_d itself
+    b = 1.0 - alpha
+    p2 = mag / safe_gram
+    on = alpha != 0.0
+    w2 = np.where(on, q2 + b * b * p2, hd2)
+    live = w2 > tol_sq * hd2
+    safe_w2 = np.where(live, w2, 1.0)
+    mu = q2 + b * p2
+    gain_opt = np.where(on, mu * (mu / safe_w2),
+                        (hh.real ** 2 + hh.imag ** 2) / safe_w2)
+    si_opt = np.where(on, b * b * mag / safe_w2, mag / safe_w2)
+    gain_opt[alpha == 1.0] = gain_zf[alpha == 1.0]
+    norm_w = np.ones_like(w2)
+    dead = ~live
+    gain_opt[dead] = (eps * hd2 / safe_mag * hd2)[dead]
+    si_opt[dead] = eps
+    norm_w[dead] = np.sqrt(eps * hd2 / safe_mag)[dead]
+    return alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok
+
+
+def _solve_batch_one_cap_einsum(h_d, a, eps):
+    """The one-cap kernel as it was before the Gram-term gains: it forms
+    w = h_d - alpha p and takes its gains by einsum. The Gram form must
+    agree with it to within _EINSUM_GAIN_ULPS and _EINSUM_SI_ULPS."""
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
     a = np.ascontiguousarray(a, dtype=np.complex128)
     tol_sq = kernels._PAR_TOL_SQ
@@ -185,6 +233,16 @@ def _solve_batch_one_cap(h_d, a, eps):
     si_opt[dead] = eps
     norm_w[dead] = np.sqrt(eps * hd2 / safe_mag)[dead]
     return alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok
+
+
+# The einsum kernel forms w = h_d - alpha p componentwise, so its gains carry
+# rounding of order ulp * ||h_d||^2 / ||w||^2 relative to themselves, and its
+# leakage of order ulp times the MRT leakage |a^H h_d|^2 / ||h_d||^2; near
+# alpha = 1 that leakage is pure noise. On 150 row sets like those of
+# test_agrees_with_the_einsum_kernel the two kernels differed by at most 12
+# and 150 of these ulps.
+_EINSUM_GAIN_ULPS = 64
+_EINSUM_SI_ULPS = 1024
 
 
 def assert_matches_per_cap(got, h, a, caps):
@@ -248,6 +306,30 @@ class TestCapAxis:
         assert np.all(got[0][0] > 0.0) and np.all(got[0][-1] == 0.0)
         assert_matches_per_cap(got, h, a, caps)
 
+    @pytest.mark.parametrize("n_t", [1, 2, 10, 64])
+    def test_agrees_with_the_einsum_kernel(self, n_t):
+        rng = np.random.default_rng(60 + n_t)
+        h, a = random_rows(rng, 3000 // n_t + 5, n_t)
+        gram = np.einsum("ij,ij->i", a.conj(), a).real
+        caps = np.concatenate([[0.0], np.logspace(-16.0, 7.0, 24),
+                               [2.0 * gram.max()]])
+        alpha, si, gain, _, _, _ = kernels.solve_batch_numpy(h, a, caps)
+        hd2 = np.einsum("ij,ij->i", h.conj(), h).real
+        c = np.einsum("ij,ij->i", a.conj(), h)
+        p = a * (c / gram)[:, None]
+        mrt_si = (c.real ** 2 + c.imag ** 2) / hd2
+        ulp = np.finfo(np.float64).eps
+        for k, eps in enumerate(caps):
+            _, si_ref, gain_ref, _, _, _ = _solve_batch_one_cap_einsum(h, a, eps)
+            w = h - alpha[k, :, None] * p
+            w2 = np.einsum("ij,ij->i", w.conj(), w).real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = _EINSUM_GAIN_ULPS * ulp * (hd2 / w2) * gain_ref
+            assert np.all((gain[k] == gain_ref)
+                          | (np.abs(gain[k] - gain_ref) <= bound))
+            assert np.all(np.abs(si[k] - si_ref)
+                          <= _EINSUM_SI_ULPS * ulp * mrt_si)
+
     def test_edge_rows_on_both_sides_of_a_block_boundary(self):
         h, a = edge_rows_across_a_boundary(np.random.default_rng(47))
         got = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
@@ -306,8 +388,8 @@ class TestCapAxis:
         assert {k: hashlib.sha256(x.tobytes()).hexdigest()
                 for k, x in got.items()} == {
             "alpha": "072cc004e7a12e7b13dc8280490ee6f5c5e4db5fd2ef90e6fc38560d48ea31a0",
-            "si_opt": "138e16444e86ea3d3e603bdbe8d7227982a0cc46b96e21e0183f08f17c2024a3",
-            "gain_opt": "93d6c7b9ac9cf446f549cbe3c8ff592ba2ce1b17eb93a4627db6818983e109af",
+            "si_opt": "4f5a39cd66d72fc6adfda53b8cdbc7fadfbd9b0c43082d8cedc60e2bf85c8416",
+            "gain_opt": "73e5a406e123b436d199e87dde2ef2b89d6b50bac397a979e3b111a73f1ed4b5",
             "gain_zf": "c983a960af630049e82417acf86d7eb78fca8e6aa8ee122ce5d6ae368bd7a67c",
             "norm_w": "688456608f8835cb7ab7f0d1918c2af9c8f3d50aad56bb7336a1cd37006a6666",
             "zf_ok": "b6f524d4dcd4f01a9cadd967f443875150f2a303fa0284179dafdee9fd9ac8d2",
@@ -325,6 +407,62 @@ class TestCapAxis:
         for x, y in zip(kernels._per_cap(kernels.solve_batch_numpy, h, a, 0.1),
                         kernels.solve_batch_numpy(h, a, 0.1)):
             np.testing.assert_array_equal(x, y)
+
+
+class TestBadInputs:
+    # each of these once came back as nan, or as a negative gain, silently
+    @pytest.mark.parametrize("h, a", [
+        ([1.0, np.nan], [0.3, 0.1j]),
+        ([1.0, 0.5j], [np.inf, 0.1j]),
+        ([1e200, 0.5j], [1e200, 0.1j]),  # ||h_d||^2 ||a||^2 overflows
+    ], ids=["nan_channel", "inf_leakage", "overflow"])
+    def test_solve_batch_rejects_non_finite_channels(self, h, a):
+        rows = block_rows(2)
+        hs, as_ = random_rows(np.random.default_rng(52), 2 * rows, 2)
+        for at in (0, rows + 1):  # in the first block and in a later one
+            hb, ab = hs.copy(), as_.copy()
+            hb[at], ab[at] = h, a
+            with pytest.raises(ValueError, match="must be finite"):
+                kernels.solve_batch_numpy(hb, ab, [0.01, 0.1])
+
+    @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf, [0.1, -1e-300]],
+                             ids=["negative", "nan", "inf", "one_of_an_axis"])
+    def test_solve_batch_rejects_bad_caps(self, eps):
+        h, a = random_rows(np.random.default_rng(53), 4, 2)
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            kernels.solve_batch_numpy(h, a, eps)
+
+    @pytest.mark.parametrize("h_d, H, v", [
+        ([1.0, np.nan], [[0.3, 0.1j]], [1.0]),
+        ([1.0, 0.5j], [[np.nan, 0.1j]], [1.0]),
+        ([1.0, 0.5j], [[0.3, 0.1j]], [np.inf]),
+        ([np.inf, 0.5j], [[0.0, 0.0]], [1.0]),
+    ], ids=["nan_channel", "nan_si_channel", "inf_combiner", "inf_no_leakage"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_solve_one_rejects_non_finite_channels(self, h_d, H, v):
+        h_d, H, v = (np.array(x, dtype=complex) for x in (h_d, H, v))
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.solve_one_numpy(h_d, H, v, 0.01)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_solve_one_rejects_bad_caps(self, eps):
+        r = canonical_realization()
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            kernels.solve_one_numpy(r.h_d, r.H, r.v, eps)
+
+    def test_zero_cap_is_full_nulling(self):
+        # eps = 0 stays valid: every row with leakage nulls it exactly
+        h, a = random_rows(np.random.default_rng(54), 50, 3)
+        alpha, si, gain, gain_zf, norm_w, zf_ok = kernels.solve_batch_numpy(
+            h, a, 0.0)
+        assert np.all(zf_ok) and np.all(norm_w == 1.0)
+        assert np.all(alpha == 1.0) and np.all(si == 0.0)
+        np.testing.assert_array_equal(gain, gain_zf)
+        H = a[:, None, :].conj()  # one receive antenna, v = 1: H^H v = a
+        for i in range(len(h)):
+            one = kernels.solve_one_numpy(h[i], H[i], np.ones(1, complex), 0.0)
+            assert one[0] == 1.0 and one[1] == 0.0 and one[3] == 1.0
+            assert one[2] == pytest.approx(gain_zf[i], rel=1e-12)
 
 
 class TestSolveOne:
