@@ -14,8 +14,10 @@ Sweeps share channel draws across every grid point that only differs in
 rho or c: per-trial RNG streams are keyed by trial index, the whole batch
 of streams is drawn in one vectorized pass that reproduces the per-trial
 draws bit for bit, and the downlink/leakage geometry for a given
-(seed, trial, n_t) is drawn exactly once. Ratio averages use
-compensated summation to stay order-insensitive at the 1e-12 level.
+(seed, trial, n_t) is drawn exactly once. Ratio means and their
+confidence intervals are exact up to one final rounding, so they do not
+depend on the order of the trials: the sums are correctly rounded, with
+math.fsum's bits, and computed without a Python loop over the values.
 
 Trials where zero-forcing is degenerate (downlink channel parallel to the
 leakage direction, impossible under continuous fading but reachable with
@@ -200,20 +202,99 @@ def draw_batch(cfg, trials=None):
     return h_d, a
 
 
-def _mean_ci(values):
-    """(mean, 95% half-width) by compensated summation; (nan, nan) if empty.
+# on sweep ratios two passes leave a few residuals at most and a third
+# finds none; values spread over more binades leave more to the final fsum
+_EXTRACT_PASSES = 3
+_SIGMA_MIN = 2.0 ** -1022  # sigma must be a normal float for the sums
+_SIGMA_MAX = 2.0 ** 1023   # of q to be exact and sigma + r to stay finite
 
-    Works on Python floats: scalar `** 2` is libm pow, which an array
-    square does not reproduce bit for bit.
+
+def _exact_sum(x):
+    """math.fsum(x.tolist()) bit for bit, with no Python loop over x.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31(1), 2008): with sigma a power of two >= (n + 2) max|r|,
+    q = (sigma + r) - sigma is r on a grid of ulp(sigma) / 2, so both
+    q and r - q are exact and every partial sum of q is exact, whatever
+    the order. The sums of q and the residuals left after the passes then
+    go to fsum, whose correctly rounded result depends only on the exact
+    sum. When sigma would leave the normal range (huge or subnormal
+    values, or none left), extraction stops early; if it never started,
+    fsum gets x itself, in order, and raises what it raises on x.
     """
-    xs = values.tolist()
-    m = len(xs)
+    n = len(x)
+    partials = []
+    r = x
+    for _ in range(_EXTRACT_PASSES):
+        top = float(np.max(np.abs(r), initial=0.0)) * (n + 2)
+        if not _SIGMA_MIN <= top < _SIGMA_MAX:
+            break
+        sigma = math.ldexp(1.0, math.frexp(top)[1])
+        q = (sigma + r) - sigma
+        partials.append(float(np.sum(q)))
+        r = r - q
+    tail = r[r != 0.0] if partials else r
+    return math.fsum(partials + tail.tolist())
+
+
+# the two-product below is exact where d * d >= 2**-960 (no error term
+# underflows) and finite; past that, it gives inf or nan, which the test
+# below sends to ** 2 as well
+_SQUARE_MIN = 2.0 ** -960
+_SPLIT = 2.0 ** 27 + 1.0  # Veltkamp split into two 26-bit halves
+_EXP_MASK = np.uint64(0x7FF0000000000000)
+# libm pow is within 0.52 ulp, so it can round the other way than d * d
+# only where d * d's error is near half the gap to the neighbour on its side
+_MIDPOINT_THETA = 0.45
+
+
+def _pow_squares(d):
+    """[v ** 2 for v in d.tolist()] bit for bit, as a float64 array.
+
+    numpy's d * d is correctly rounded; a Python float's ** 2 is libm pow,
+    which may round the other way near a rounding midpoint. Dekker's
+    two-product gives the exact error of d * d. Only elements whose error
+    is at least theta times the gap to the neighbour, and those outside
+    the two-product's exact range, are recomputed with ** 2, which also
+    keeps the OverflowError it raises. The gap is ulp(d * d), read from the
+    exponent bits. Below a power of two the gap is half that, but d * d is
+    a power of two only when d is one, and then its error is 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = d * d
+        c = _SPLIT * d
+        hi = c - (c - d)
+        lo = d - hi
+        err = ((hi * hi - s) + (hi + hi) * lo) + lo * lo
+        limit = (s.view(np.uint64) & _EXP_MASK).view(np.float64)
+        limit *= _MIDPOINT_THETA * 2.0 ** -52  # theta ulp(d * d)
+        same = (np.abs(err) < limit) & (s >= _SQUARE_MIN)
+    idx = np.flatnonzero(~same)
+    s[idx] = [v ** 2 for v in d[idx].tolist()]
+    return s
+
+
+def _mean_ci(values):
+    """(mean, 95% half-width) of a float64 array; (nan, nan) if empty.
+
+    Both sums are correctly rounded, so they are exact up to one final
+    rounding and do not depend on the order of the values: they are
+    math.fsum's bits. The squared deviations are libm pow's, as a Python
+    float's ** 2 gives them. So the result is that of the scalar
+    fsum-and-** 2 form bit for bit. Raises ValueError on a value that is
+    not finite, so a NaN never becomes a CSV cell.
+    """
+    m = len(values)
     if m == 0:
         return float("nan"), float("nan")
-    mean = math.fsum(xs) / m
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    mean = _exact_sum(values) / m
     if m == 1:
         return mean, 0.0
-    var = math.fsum([(x - mean) ** 2 for x in xs]) / (m - 1)
+    with np.errstate(over="ignore"):  # an inf d squares to inf, as a float's does
+        d = values - mean
+    var = _exact_sum(_pow_squares(d)) / (m - 1)
     return mean, _Z95 * math.sqrt(var / m)
 
 

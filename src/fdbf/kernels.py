@@ -103,6 +103,7 @@ def _caps(eps):
 # a non-finite entry, or one so large that ||h_d||^2 ||a||^2 overflows, makes
 # the product of the two reductions inf or nan: checking it costs O(n), not O(n n_t)
 _NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float64 range"
+_NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 too"
 
 
 def _dot_rows(x, y):
@@ -148,7 +149,7 @@ def solve_batch_numpy(h_d, a, eps):
     h_d itself, and rows with alpha = 1 transmit the zero-forcing vector
     and report gain_zf. Every value is bit-identical to a solve with that
     cap alone. Raises ValueError on a cap that is not finite or below 0,
-    and on channels whose ||h_d||^2 ||a||^2 is not finite.
+    and on channels whose ||h_d||^2 ||a||^2 or ||h_d||^4 is not finite.
     """
     h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
@@ -168,8 +169,11 @@ def solve_batch_numpy(h_d, a, eps):
         hh = _dot_rows(hc, h)
         hd2 = hh.real
         gram = _dot_rows(ac, ab).real
-        if not np.all(np.isfinite(hd2 * gram)):
-            raise ValueError(_NOT_FINITE)
+        # the gains square hh and h_d^H q, and |h_d^H q| <= hd2
+        with np.errstate(over="ignore"):
+            big = ~(np.isfinite(hd2 * gram) & np.isfinite(hd2 * hd2))
+        if big.any():
+            raise ValueError(_NOT_FINITE_BATCH)
         c = _dot_rows(ac, h)
         mag = c.real ** 2 + c.imag ** 2
 

@@ -148,11 +148,21 @@ def box_muller(u1, u2):
     """CN(0, 1) draws from uniforms u1 in (0, 1] and u2 in [0, 1).
 
     Elementwise, so a batch of contiguous rows gives the same bits as one
-    row at a time.
+    row at a time. r cos and r sin go straight into the real and imaginary
+    parts, which is r * (cos + 1j sin) bit for bit wherever r != 0. At
+    u1 == 1, r is -0.0 and the complex product signs each zero by both
+    factors, so those elements take the complex product itself.
     """
     r = np.sqrt(-np.log(u1))
     phase = 2.0 * np.pi * u2
-    return r * (np.cos(phase) + 1j * np.sin(phase))
+    z = np.empty(phase.shape, dtype=np.complex128)
+    np.multiply(r, np.cos(phase), out=z.real)
+    np.multiply(r, np.sin(phase), out=z.imag)
+    if not r.all():
+        at_one = r == 0.0
+        p = phase[at_one]
+        z[at_one] = r[at_one] * (np.cos(p) + 1j * np.sin(p))
+    return z
 
 
 def _standard_complex_normal(gen, n):

@@ -1,15 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdbf.beamform import optimal, zf
 from fdbf.channel import SystemConfig, draw_realization, si_threshold
 import fdbf.experiment
 from fdbf.numerics import RngState
 from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult,
-                             _mean_ci, draw_batch, power_saving, run_sweep,
-                             run_trial, throughput_gain, uplink_sinr)
+                             _exact_sum, _mean_ci, _pow_squares, draw_batch,
+                             power_saving, run_sweep, run_trial,
+                             throughput_gain, uplink_sinr)
 
 from conftest import canonical_realization
 
@@ -180,6 +184,134 @@ class TestMeanCi:
         mean, ci = _mean_ci(np.array([]))
         assert math.isnan(mean) and math.isnan(ci)
         assert _mean_ci(np.array([2.5])) == (2.5, 0.0)
+
+
+# values mixed into some arrays: signed zeros, the smallest subnormal,
+# deeper subnormals and the smallest normal
+_TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, -(2.0 ** -1040),
+                  2.0 ** -1022])
+
+
+@st.composite
+def value_arrays(draw):
+    """Finite float64 arrays that stress correctly rounded sums and squares.
+
+    Lengths 1-5000 and binary exponents spread up to 700 either side of a
+    centre in [-1000, 1000], so squares reach the subnormal range or
+    overflow. Then one of: as drawn; a third of the values replaced by
+    signed zeros and subnormals; every value also negated, so the exact sum
+    is 0, perhaps plus one value scaled far down; one sign and one binade
+    for all values, so that the sum is near n times the largest; or a tenth
+    of the values near the top of the float64 range, so that the sum
+    overflows.
+    """
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    centre = draw(st.integers(-1000, 1000))
+    spread = draw(st.integers(0, 700))
+    exps = rng.integers(centre - spread, centre + spread, n, endpoint=True)
+    x = np.ldexp(rng.standard_normal(n), np.clip(exps, -1100, 1020))
+    kind = draw(st.sampled_from(["plain", "tiny", "cancelling", "one_sign",
+                                 "huge"]))
+    if kind == "tiny":
+        x[rng.integers(0, n, n // 3 + 1)] = rng.choice(_TINY, n // 3 + 1)
+    elif kind == "cancelling":
+        half = x[:(n + 1) // 2]
+        parts = [half, -half]
+        if draw(st.booleans()):
+            parts.append(half[:1] * 2.0 ** -70)
+        x = rng.permutation(np.concatenate(parts))
+    elif kind == "one_sign":
+        x = np.ldexp(rng.uniform(0.5, 1.0, n), min(centre, 1000))
+        x *= draw(st.sampled_from([-1.0, 1.0]))
+    elif kind == "huge":
+        k = n // 10 + 1
+        x[rng.integers(0, n, k)] = np.ldexp(rng.uniform(-0.99, 0.99, k), 1024)
+    return x
+
+
+def _outcome(f, x):
+    """The bits f(x) returns, as hex strings, or the type of what it raises."""
+    try:
+        return tuple(float(v).hex() for v in np.atleast_1d(f(x)))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+# values of d whose d * d and libm pow's d ** 2 differ, found by search: the
+# error of d * d is 0.493 to 0.49999 of the gap to the neighbour on its side,
+# and exactly 0.5 for the last
+_POW_NOT_PRODUCT = [-64908.28678893847, 0.24907417054625416,
+                    -0.11118209934717183, -0.09476659939607528,
+                    1.1386475824509238e+139, -8.15048591954273e-151,
+                    6.491795029670573e-153]
+
+
+class TestExactAggregation:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(value_arrays())
+    def test_matches_the_scalar_forms(self, x):
+        # the reference on Python floats is the scalar form itself: its
+        # ** 2 raises OverflowError where a square overflows
+        xs = x.tolist()
+        assert _outcome(_mean_ci, x) == _outcome(_mean_ci_reference, xs)
+        assert _outcome(_exact_sum, x) == _outcome(math.fsum, xs)
+        assert _outcome(_pow_squares, x) == _outcome(
+            lambda v: [t ** 2 for t in v], xs)
+
+    def test_exact_sum_of_one_sign_values(self):
+        # sums near n max|x| are where a sigma below (n + 2) max|x| would
+        # round the sum of q; random arrays above reach them only by chance
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            x = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0, 1000)
+            assert _exact_sum(x) == math.fsum(x.tolist())
+
+    def test_pow_squares_near_rounding_midpoints(self):
+        d = np.array(_POW_NOT_PRODUCT)
+        assert all(v * v != v ** 2 for v in _POW_NOT_PRODUCT)
+        assert _pow_squares(d).tolist() == [v ** 2 for v in _POW_NOT_PRODUCT]
+
+    def test_squares_at_binade_edges(self):
+        # below a power of two the gap is half the one above, but d * d is a
+        # power of two only when d is one, and then it is exact: so the gap
+        # read from d * d's exponent is the gap on the side of its error.
+        # The candidates are the floats next to 2**m and sqrt(2) 2**m.
+        edge = []
+        for m in range(-470, 470, 7):
+            for base in (1.0, math.sqrt(2.0)):
+                v = math.ldexp(base, m)
+                for _ in range(3):
+                    v = math.nextafter(v, 0.0)
+                for _ in range(6):
+                    edge.append(v)
+                    v = math.nextafter(v, math.inf)
+        for v in edge:
+            if math.frexp(v * v)[0] == 0.5:
+                assert Fraction(v) ** 2 == Fraction(v * v)
+        d = np.array(edge)
+        assert _pow_squares(d).tolist() == [v ** 2 for v in edge]
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan],
+                                        [np.inf, -np.inf], [2.0, -np.inf]],
+                             ids=["nan", "lone_nan", "inf_pair", "neg_inf"])
+    def test_non_finite_values_raise(self, values):
+        with pytest.raises(ValueError, match="values must be finite"):
+            _mean_ci(np.array(values))
+
+    def test_sweep_fails_on_a_nan_ratio(self, monkeypatch):
+        # a NaN gain must stop the sweep, not become a CSV cell
+        real_solve = fdbf.experiment.kernels.solve_batch
+
+        def nan_gain(h_d, a, eps):
+            out = real_solve(h_d, a, eps)
+            out[2][..., 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch", nan_gain)
+        with pytest.raises(ValueError, match="values must be finite"):
+            run_sweep(SystemConfig(n_t=2, trials=20, seed=1))
 
 
 class TestRunSweep:

@@ -425,6 +425,16 @@ class TestBadInputs:
             with pytest.raises(ValueError, match="must be finite"):
                 kernels.solve_batch_numpy(hb, ab, [0.01, 0.1])
 
+    @pytest.mark.parametrize("eps", [0.0, 1e300, [0.0, 1e300]],
+                             ids=["zero_cap", "huge_cap", "cap_axis"])
+    def test_solve_batch_rejects_gains_past_the_float64_range(self, eps):
+        # ||h_d|| = 1e78: the exact gains are 2e156, but |h_d^H h_d|^2 and
+        # |h_d^H q|^2 overflow on the way, which once returned inf silently
+        h = np.array([[0.0, 1e78j, 1e78j]])
+        a = np.array([[0.0, 0.0, 1j]])
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.solve_batch_numpy(h, a, eps)
+
     @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf, [0.1, -1e-300]],
                              ids=["negative", "nan", "inf", "one_of_an_axis"])
     def test_solve_batch_rejects_bad_caps(self, eps):

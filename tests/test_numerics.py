@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fdbf.numerics import (RngState, inner, matvec_adj, norm_sq, philox_raw,
-                           sample_complex_gaussian, uniforms, TOL_EQ)
+from fdbf.numerics import (RngState, box_muller, inner, matvec_adj, norm_sq,
+                           philox_raw, sample_complex_gaussian, uniforms,
+                           TOL_EQ)
 
 
 class TestInner:
@@ -105,6 +106,35 @@ class TestVectorizedPhilox:
         words = philox_raw(42, [3], 9)
         np.testing.assert_array_equal(uniforms(words)[0],
                                       RngState(42, 3).generator().random(9))
+
+
+def _box_muller_product(u1, u2):
+    """The complex-product form the sweep CSVs were made with."""
+    r = np.sqrt(-np.log(u1))
+    phase = 2.0 * np.pi * u2
+    return r * (np.cos(phase) + 1j * np.sin(phase))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+class TestBoxMuller:
+    def test_bit_identical_to_the_complex_product(self):
+        u = uniforms(philox_raw(5, np.arange(200), 2000))
+        u1, u2 = 1.0 - u[:, :1000], np.ascontiguousarray(u[:, 1000:])
+        assert _same_bits(box_muller(u1, u2), _box_muller_product(u1, u2))
+
+    def test_u1_of_one_across_phases(self):
+        # u1 == 1 gives r = -0.0, where r cos and r sin alone sign the zeros
+        # differently from the complex product in about a third of the phases
+        u2 = np.concatenate([np.linspace(0.0, 1.0, 64, endpoint=False),
+                             [0.25, 0.5, 0.75, 2.0 ** -53, 1.0 - 2.0 ** -53]])
+        u1 = np.ones((2, u2.size))
+        u1[1, ::2] = 0.5
+        u2 = np.stack([u2, u2])
+        assert _same_bits(box_muller(u1, u2), _box_muller_product(u1, u2))
 
 
 class TestComplexGaussian:
