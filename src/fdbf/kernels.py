@@ -306,6 +306,14 @@ def grid_scan_numpy(h_d, p, a, eps, n_grid, tol):
     return best_idx, best_gain, n_feasible, max_violation
 
 
+def _row_sums(x):
+    """Sums over the last axis, added one column at a time from the left."""
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def sample_scan_numpy(h_d, a, eps, W):
     """Scan arbitrary candidate directions, power-scaled onto the feasible set.
 
@@ -313,18 +321,27 @@ def sample_scan_numpy(h_d, a, eps, W):
     are backed off in power until the leakage sits on the cap. Returns
     (best_idx, best_gain, best_scale, max_violation); best_scale is the norm
     of the winning (possibly backed-off) beamformer.
+
+    Row-independent: every sum runs over a row's own entries, one column at
+    a time, in elementwise operations (no BLAS, whose blocking makes a row's
+    bits depend on the rows passed with it). So scanning W[k:k+1] gives row
+    k the same bits as scanning all of W.
     """
     h_d = _cvec(h_d)
     a = _cvec(a)
     W = _cvec(W).reshape(len(W), -1)
-    w2 = np.einsum("ij,ij->i", W.conj(), W).real
+    Wr, Wi = W.real, W.imag
+    w2 = _row_sums(Wr * Wr + Wi * Wi)
+    # Re and Im of h_d^H w and a^H w, one row of the result each
+    c = np.stack((h_d, a))[:, None, :]
+    re = _row_sums(c.real * Wr + c.imag * Wi)
+    im = _row_sums(c.real * Wi - c.imag * Wr)
+    cw2, ca2 = re * re + im * im
     live = w2 > 0.0
     safe_w2 = np.where(live, w2, 1.0)
-    ca = W @ a.conj()
-    si_unit = (ca.real ** 2 + ca.imag ** 2) / safe_w2
+    si_unit = ca2 / safe_w2
     scale2 = np.where(si_unit > eps, eps / np.where(si_unit > 0.0, si_unit, 1.0), 1.0)
-    cw = W @ h_d.conj()
-    gain = scale2 * (cw.real ** 2 + cw.imag ** 2) / safe_w2
+    gain = scale2 * cw2 / safe_w2
     gain[~live] = -np.inf
     if not np.any(live):
         return -1, -1.0, 1.0, 0.0

@@ -165,14 +165,23 @@ def box_muller(u1, u2):
     return z
 
 
+def box_muller_uniforms(gen, n):
+    """The 2n uniforms of n Box-Muller draws: all n of u1, then all n of u2.
+
+    u1 = 1 - U lies in (0, 1], which keeps log() finite; u2 lies in [0, 1).
+    """
+    u1 = gen.random(n)
+    np.subtract(1.0, u1, out=u1)
+    return u1, gen.random(n)
+
+
 def _standard_complex_normal(gen, n):
     """n i.i.d. CN(0, 1) draws from an active Generator.
 
     Uses the polar (Box-Muller) transform on exactly 2n uniforms so the draw
     count per call is fixed; no rejection loop is ever taken.
     """
-    u1 = 1.0 - gen.random(n)   # in (0, 1], keeps log() finite
-    return box_muller(u1, gen.random(n))
+    return box_muller(*box_muller_uniforms(gen, n))
 
 
 def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):

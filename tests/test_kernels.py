@@ -631,6 +631,30 @@ class TestSampleScan:
         got = kernels.sample_scan(r.h_d, a, r.epsilon, np.zeros((3, 2), complex))
         assert got == (-1, -1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 4, 8, 64])
+    def test_rows_scan_independently(self, n_t):
+        # a row's bits must not depend on the rows scanned with it: the best
+        # row scanned alone, or inside any window, keeps its gain and scale
+        rng = np.random.default_rng(40 + n_t)
+        for _ in range(40 if n_t == 4 else 6):
+            h_d, H, v, eps = random_instance(rng, n_t=n_t)
+            a = matvec_adj(H, v)
+            W = rng.standard_normal((1000, n_t)) + 1j * rng.standard_normal((1000, n_t))
+            k, gain, scale, _ = kernels.sample_scan(h_d, a, eps, W)
+            assert kernels.sample_scan(h_d, a, eps, W[k:k + 1])[:3] == (0, gain, scale)
+            lo = max(0, k - 5)
+            assert kernels.sample_scan(h_d, a, eps, W[lo:k + 9])[:3] == (k - lo, gain, scale)
+
+    def test_max_violation_is_the_worst_single_row(self):
+        rng = np.random.default_rng(46)
+        h_d, H, v, _ = random_instance(rng, n_t=3)
+        a = matvec_adj(H, v)
+        W = rng.standard_normal((60, 3)) + 1j * rng.standard_normal((60, 3))
+        for eps in (0.0, 1e-7 * norm_sq(a), 0.3 * norm_sq(a)):
+            worst = max(kernels.sample_scan(h_d, a, eps, W[k:k + 1])[3]
+                        for k in range(len(W)))
+            assert kernels.sample_scan(h_d, a, eps, W)[3] == worst
+
     def test_zero_rows_are_skipped(self):
         r = canonical_realization()
         a = matvec_adj(r.H, r.v)

@@ -5,8 +5,9 @@ import pytest
 
 from fdbf import kernels, oracle
 from fdbf.beamform import mrt, optimal, zf
-from fdbf.channel import ChannelRealization
-from fdbf.numerics import RngState, matvec_adj, norm_sq
+from fdbf.channel import ChannelRealization, SystemConfig, draw_realization
+from fdbf.numerics import (RngState, box_muller, box_muller_uniforms, matvec_adj,
+                           norm_sq)
 from fdbf.oracle import (GRID_FEAS_TOL, OracleReport, feasible, grid_search,
                          random_feasible_search, timing_bench)
 
@@ -141,6 +142,200 @@ class TestRandomFeasibleSearch:
     def test_rejects_zero_samples(self, canonical):
         with pytest.raises(ValueError):
             random_feasible_search(canonical, 0, RngState(0))
+
+
+class _Uniforms:
+    """A Generator stand-in that hands out preset uniform arrays in order."""
+
+    def __init__(self, *arrays):
+        self._arrays = list(arrays)
+
+    def random(self, n):
+        u = self._arrays.pop(0)
+        assert u.size == n
+        return u.copy()
+
+
+def _float32_flips(u2):
+    """Uniforms just below and just above each point where float32(2 pi u2)
+    rounds to the next float32 up."""
+    lo = (2.0 * np.pi * u2).astype(np.float32)
+    flip = (lo.astype(np.float64) + np.nextafter(lo, np.float32(np.inf))) / 2.0
+    below = flip / (2.0 * np.pi)
+    while (2.0 * np.pi * below >= flip).any():
+        below = np.where(2.0 * np.pi * below >= flip, np.nextafter(below, 0.0), below)
+    above = np.nextafter(below, 1.0)
+    while (2.0 * np.pi * above <= flip).any():
+        above = np.where(2.0 * np.pi * above <= flip, np.nextafter(above, 1.0), above)
+    return below, above
+
+
+def _radius_nudges(u):
+    """Copies of u with one entry moved by a relative 1e-9 either way."""
+    for j in range(len(u)):
+        for sign in (1.0, -1.0):
+            nudged = u.copy()
+            nudged[j] *= 1.0 + sign * 1e-9
+            yield nudged
+
+
+def exhaustive_search(realization, samples, gen, rho=1.0):
+    """random_feasible_search as one exact scan of every candidate.
+
+    Draws u1 = 1 - U and then u2 as the search does, rebuilds every
+    candidate with the exact Box-Muller transform and scans them all.
+    Returns (best_idx, best_rate, best_w).
+    """
+    n_t = realization.h_d.shape[0]
+    u1 = 1.0 - gen.random(samples * n_t)
+    u2 = gen.random(samples * n_t)
+    W = box_muller(u1, u2).reshape(samples, n_t)
+    k, gain, scale, _ = kernels.sample_scan(
+        realization.h_d, realization.effective_si_vector(), realization.epsilon, W)
+    row = W[k]
+    return k, math.log2(1.0 + rho * gain), row * (scale / math.sqrt(norm_sq(row)))
+
+
+def assert_exhaustive(realization, samples, make_gen, rho=1.0):
+    """The search equals the exhaustive scan bit for bit; returns the rows
+    its filter kept for the exact scan (None for all of them)."""
+    k, rate, w = exhaustive_search(realization, samples, make_gen(), rho)
+    report = random_feasible_search(realization, samples, make_gen(), rho)
+    assert report.best_rate == rate
+    assert report.best_w.tobytes() == w.tobytes()
+    eps = realization.epsilon
+    assert 0.0 <= report.max_violation <= 2.0 * np.spacing(eps)
+    n_t = realization.h_d.shape[0]
+    U1, U2 = (u.reshape(samples, n_t)
+              for u in box_muller_uniforms(make_gen(), samples * n_t))
+    rows, _ = oracle._sampling_filter(realization.h_d, realization.effective_si_vector(),
+                                      eps, U1, U2)
+    assert rows is None or k in rows
+    return rows
+
+
+def realization_at(n_t, stream, c_db=-110.0):
+    return draw_realization(SystemConfig(n_t=n_t, c_db=c_db), RngState(2024, stream))
+
+
+class TestRandomFeasibleSearchIsExhaustive:
+    """The filtered search returns what an exact scan of every candidate does."""
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("samples", [1, 7, 2049, 10_000])
+    def test_antennas_and_sample_counts(self, n_t, samples):
+        for i in range(2):
+            r = realization_at(n_t, i)
+            rows = assert_exhaustive(r, samples, lambda: RngState(7, 100 + i).generator())
+            if n_t == 1:
+                assert rows is None
+            elif samples >= 2049:
+                # the point of the filter: few candidates need the exact scan
+                assert rows is not None and len(rows) <= 20
+
+    @pytest.mark.parametrize("n_t", [2, 8])
+    @pytest.mark.parametrize("cap", ["zero", "default", "c-80", "c-140", "above"])
+    def test_caps(self, n_t, cap):
+        for i in range(3):
+            r = realization_at(n_t, i, c_db={"c-80": -80.0, "c-140": -140.0}.get(cap, -110.0))
+            if cap == "zero":
+                r = r.replace(epsilon=0.0)
+            elif cap == "above":
+                r = r.replace(epsilon=2.0 * norm_sq(r.effective_si_vector()))
+            assert_exhaustive(r, 2049, lambda: RngState(8, i).generator())
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    @pytest.mark.parametrize("n_t", [2, 3])
+    def test_channel_scales(self, scale, n_t):
+        for i in range(2):
+            r = realization_at(n_t, i)
+            both = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
+            rows = assert_exhaustive(both, 2049, lambda: RngState(9, i).generator())
+            assert rows is not None
+            assert_exhaustive(r.replace(h_d=scale * r.h_d), 2049,
+                              lambda: RngState(9, i).generator())
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_scales_past_the_filter_range_scan_every_candidate(self, scale):
+        r = realization_at(2, 0)
+        r = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
+        assert assert_exhaustive(r, 2049, lambda: RngState(9, 0).generator()) is None
+
+    @pytest.mark.parametrize("n_t", [2, 8])
+    def test_no_leakage_direction_and_zero_cap(self, n_t):
+        # a = 0 and eps = 0: the filter's eps / |a^H w|^2 is 0/0, which must
+        # mean "no back-off", not a NaN that drops every candidate
+        r = realization_at(n_t, 0)
+        r = r.replace(H=np.zeros_like(r.H), epsilon=0.0)
+        rows = assert_exhaustive(r, 2049, lambda: RngState(10, 0).generator())
+        assert rows is not None and 1 <= len(rows) <= 20
+
+    def test_zero_channel_ties_every_candidate(self):
+        r = realization_at(3, 0)
+        assert_exhaustive(r.replace(h_d=np.zeros_like(r.h_d)), 2049,
+                          lambda: RngState(11, 0).generator())
+
+    def test_all_zero_candidate_rows(self):
+        # U = 0 makes u1 = 1, a zero radius: the whole row is a zero vector
+        n_t, samples = 3, 4100
+        rng = np.random.default_rng(12)
+        u, u2 = rng.random((samples, n_t)), rng.random(samples * n_t)
+        u[[0, 5, 2047, 2048, samples - 1]] = 0.0
+        rows = assert_exhaustive(realization_at(n_t, 1), samples,
+                                 lambda: _Uniforms(u.ravel(), u2))
+        assert {0, 5, 2047, 2048, samples - 1} <= set(rows)
+
+    def test_near_ties_below_float32_error(self):
+        # Two candidates: B has every phase just past a point where float32
+        # rounding flips, on its side of higher gain, and A just before it,
+        # so float32 trig puts B ahead by about 1e-6. A's radii make it win
+        # the exact scan by 1e-13 to 1e-10 instead: only the exact scan of
+        # both can tell, and a filter narrower than its error drops A.
+        n_t = 8
+        rng = np.random.default_rng(13)
+        for i in range(10):
+            r = realization_at(n_t, i)
+            h_d, a, eps = r.h_d, r.effective_si_vector(), r.epsilon
+
+            def gain(u, u2):
+                return kernels.sample_scan(h_d, a, eps, box_muller(1.0 - u, u2)[None])[1]
+
+            u, u2 = rng.random(n_t), rng.uniform(0.65, 0.95, n_t)
+            below, above = _float32_flips(u2)
+            step = 1e-7 * np.eye(n_t)
+            rising = np.array([gain(u, u2 + step[j]) > gain(u, u2 - step[j])
+                               for j in range(n_t)])
+            u2_b, u2_a = np.where(rising, above, below), np.where(rising, below, above)
+            gain_b = gain(u, u2_b)
+            margin, u_a = min(((d, ua) for ua in _radius_nudges(u)
+                               if (d := gain(ua, u2_a) - gain_b) > 0.0),
+                              key=lambda pair: pair[0])
+            assert margin < 1e-9 * gain_b
+            draw = (np.concatenate((u_a, u)), np.concatenate((u2_a, u2_b)))
+            rows = assert_exhaustive(r, 2, lambda: _Uniforms(*draw))
+            assert list(rows) == [0, 1]
+
+    def test_generator_ends_where_the_draw_ends(self, canonical):
+        gen = RngState(77).generator()
+        random_feasible_search(canonical, 3001, gen)
+        ref = RngState(77).generator()
+        ref.random(3001 * 2)
+        ref.random(3001 * 2)
+        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+
+
+def test_float32_trig_error_is_inside_the_filter_bound():
+    # the filter's bound: per entry, cos32 + i sin32 of float32(2 pi u) is
+    # within _SAMPLE_ETA / 8 of the exact cos + i sin of the float64 phase
+    u = np.random.default_rng(14).random(1_000_000)
+    quarter = np.arange(9) * (np.pi / 4) / (2.0 * np.pi)
+    steps = np.concatenate((np.arange(-50, 51) * 1e-9, np.arange(-50, 51) * 2.0 ** -53))
+    u = np.concatenate((u, (quarter[:, None] + steps).ravel()))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    phase = 2.0 * np.pi * u
+    t = phase.astype(np.float32)
+    err = np.hypot(np.cos(t) - np.cos(phase), np.sin(t) - np.sin(phase))
+    assert err.max() <= oracle._SAMPLE_ETA / 8
 
 
 class TestTimingBench:
