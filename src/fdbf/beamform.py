@@ -149,7 +149,9 @@ def closed_form(hd2, gram, mag, q2, epsilon):
     if gram == 0.0 or mag - epsilon * hd2 <= 0.0 or gram <= epsilon:
         return 0.0, 1.0
     b2 = (epsilon / (gram - epsilon)) * (q2 * gram / mag)
-    return 1.0 - min(1.0, math.sqrt(b2)), math.sqrt(epsilon * hd2 / mag)
+    # epsilon (hd2 / mag), not epsilon hd2 / mag: epsilon hd2 can be
+    # subnormal where the back-off is a normal float
+    return 1.0 - min(1.0, math.sqrt(b2)), math.sqrt(epsilon * (hd2 / mag))
 
 
 def optimal(h_d, H, v, epsilon):

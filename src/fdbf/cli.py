@@ -20,14 +20,18 @@ error, 3 I/O error.
 """
 
 import argparse
+import ctypes
 import itertools
 import math
 import os
+import platform
 import re
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, kernels
 from .beamform import dl_rate, family, optimal, DegenerateParallelError
@@ -50,6 +54,42 @@ _REALIZATION_OVERHEAD = 1024
 
 def _physical_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+# "kept" or "default" once _keep_freed_memory has run. The allocator's
+# settings belong to the whole process, so this does too.
+_heap = None
+
+
+def _keep_freed_memory():
+    """Make the C allocator keep the memory this process frees; once.
+
+    glibc returns freed numpy temporaries to the kernel and faults them in
+    again for the next verify instance: about 370k minor page faults per
+    1000 instances. A fixed trim and mmap threshold keep them in the heap.
+    Setting either turns off glibc's dynamic thresholds, so both are set.
+    A no-op where the C library has no mallopt, or rejects a value.
+    """
+    global _heap
+    if _heap is not None:
+        return
+    _heap = "default"
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no C library to open (Windows has no dlopen(NULL)), or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # serve blocks below 32 MiB (the largest threshold glibc accepts on
+    # 64-bit) from the heap, not mmap, and keep up to 1 GiB of it when freed
+    if (mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30)):
+        _heap = "kept"
 
 
 class UsageError(Exception):
@@ -269,6 +309,9 @@ def _write_manifest(out_dir, command, settings, keys, outputs):
              f"# version = {__version__}",
              f"# command = {command}",
              f"# backend = {kernels.BACKEND}",
+             f"# python = {platform.python_version()}",
+             f"# numpy = {np.__version__}",
+             f"# heap = {_heap or 'default'}",
              f"# created_utc = {stamp}"]
     lines += [f"# output = {name}" for name in outputs]
     lines += [f"{key} = {_config_value(getattr(settings, key))}" for key in keys]
@@ -461,6 +504,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

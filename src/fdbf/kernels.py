@@ -84,8 +84,11 @@ def _batch_rows(h_d, a):
 # ---------------------------------------------------------------------------
 
 # complex entries per row block of solve_batch_numpy: keeps a block's
-# temporaries cache-sized and peak memory flat in the trial count. Twice
-# this made the one-cap figure sweep take about 65% more page faults.
+# temporaries cache-sized and peak memory flat in the trial count. Under
+# the CLI's heap policy (cli._keep_freed_memory) the one-cap figure sweep
+# takes 3-4 page faults per call with half, this or twice this, in the same
+# time within noise. Without the policy glibc trims and re-faults the
+# temporaries, and twice this took about 35% more faults (7455 against 5552).
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -214,12 +217,14 @@ def solve_batch_numpy(h_d, a, eps):
             gain[zf_row] = np.broadcast_to(gain_zf[blk], zf_row.shape)[zf_row]
 
         if not live.all():
-            # parallel corner: transmit along h_d at reduced power, leakage on the cap
+            # parallel corner: transmit along h_d at reduced power, leakage
+            # on the cap. back2 = eps (hd2 / mag) is the squared back-off
+            # norm; eps hd2 alone can be subnormal where back2 is not
             dead = ~live
-            eh = e * hd2
-            gain[dead] = (eh / safe_mag * hd2)[dead]
+            back2 = e * (hd2 / safe_mag)
+            gain[dead] = (back2 * hd2)[dead]
             si[dead] = np.broadcast_to(e, dead.shape)[dead]
-            norm_w[:, blk][dead] = np.sqrt(eh / safe_mag)[dead]
+            norm_w[:, blk][dead] = np.sqrt(back2)[dead]
     out = caps.shape + (n,)
     return (alpha.reshape(out), si_opt.reshape(out), gain_opt.reshape(out),
             gain_zf, norm_w.reshape(out), zf_ok)

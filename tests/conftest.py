@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,36 @@ import pytest
 import fdbf
 from fdbf import kernels
 from fdbf.channel import ChannelRealization
+
+
+def _tracked_digests(root):
+    """SHA-256 of every file git tracks under root; None outside a checkout."""
+    try:
+        listed = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                                capture_output=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    digests = {}
+    for name in filter(None, listed.decode().split("\0")):
+        path = root / name
+        digests[name] = (hashlib.sha256(path.read_bytes()).hexdigest()
+                         if path.is_file() else None)
+    return digests
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _tracked_files_unchanged():
+    """Fail the session if any test rewrote a file git tracks."""
+    root = Path(__file__).resolve().parents[1]
+    before = _tracked_digests(root)
+    yield
+    if before is None:
+        return
+    after = _tracked_digests(root) or {}
+    changed = sorted(name for name, digest in before.items()
+                     if after.get(name) != digest)
+    if changed:
+        pytest.fail(f"tests changed tracked files: {', '.join(changed)}")
 
 
 @pytest.fixture(scope="session", autouse=True)

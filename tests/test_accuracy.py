@@ -71,8 +71,8 @@ def cvec(n_t):
 @st.composite
 def instances(draw, h_exp=150):
     """(h_d, a, eps): h_d scaled by up to 10**±h_exp, a by up to 10**±150,
-    and ||h_d|| ||a|| by at most 10**±140, so that every Gram scalar and
-    eps ||h_d||^2 is a normal float."""
+    and ||h_d|| ||a|| by at most 10**±140, so that every Gram scalar is a
+    normal float."""
     n_t = draw(st.integers(1, 4))
     a = draw(cvec(n_t))
     assume(np.vdot(a, a).real >= 0.25)
@@ -95,7 +95,6 @@ def check(h_d, a, eps, alpha, si, gain, norm_w):
     """Assert one kernel result against the 60-digit reference."""
     ref = exact(h_d, a, eps, alpha)
     assume(all(normal(ref[k]) for k in ("hd2", "gram", "mag", "q2")))
-    assume(normal(eps * ref["hd2"]))
     mrt_si = ref["mag"] / ref["hd2"]
     event("parallel corner" if norm_w < 1.0 else
           "alpha = 0" if alpha == 0.0 else "alpha = 1" if alpha == 1.0 else
@@ -114,8 +113,14 @@ def check(h_d, a, eps, alpha, si, gain, norm_w):
     assert abs(si - ref["si"]) <= RTOL * kappa * mrt_si
 
 
+# a parallel corner whose eps ||h_d||^2 = 4.7e-314 is subnormal, though the
+# back-off norm and gain are normal floats
+CORNER = (np.array([3e-72j]), np.array([2e-78 + 0j]), 5.2e-171)
+
+
 @SETTINGS
 @given(instances())
+@example(CORNER)
 def test_solve_one_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     # one receive antenna with v = 1: the leakage direction H^H v is a
@@ -130,6 +135,7 @@ def test_solve_one_is_exact_to_the_bound(inst):
 # ||h_d|| is about 10**±75, not 10**±150.
 @SETTINGS
 @given(instances(h_exp=70))
+@example(CORNER)
 def test_solve_batch_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     alpha, si, gain, gain_zf, norm_w, _ = (

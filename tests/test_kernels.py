@@ -187,9 +187,10 @@ def _solve_batch_one_cap(h_d, a, eps):
     gain_opt[alpha == 1.0] = gain_zf[alpha == 1.0]
     norm_w = np.ones_like(w2)
     dead = ~live
-    gain_opt[dead] = (eps * hd2 / safe_mag * hd2)[dead]
+    back2 = eps * (hd2 / safe_mag)
+    gain_opt[dead] = (back2 * hd2)[dead]
     si_opt[dead] = eps
-    norm_w[dead] = np.sqrt(eps * hd2 / safe_mag)[dead]
+    norm_w[dead] = np.sqrt(back2)[dead]
     return alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok
 
 
