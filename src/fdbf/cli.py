@@ -248,10 +248,12 @@ class Settings:
         # alphas, so a finer grid certifies nothing more
         if self.grid_points > 2 ** 53 + 1:
             raise UsageError("grid_points must be <= 2**53 + 1")
-        # the largest array each count sizes: the batched channel draw (h_d
-        # and a), the sampling oracle's candidates, the timed realizations
+        # what each count sizes: the gains a sweep keeps (one float64 per
+        # cap, gain_zf and a flag, per trial and n_t; channels are drawn in
+        # chunks and dropped), the sampling oracle's candidates, the timed
+        # realizations
         n_t, n_r = max(self.nt), self.nr
-        sized = {"trials": 2 * 16 * n_t,
+        sized = {"trials": len(set(self.nt)) * (8 * len(self.c_db) + 9),
                  "samples": 16 * n_t,
                  "repeats": (16 * (2 * n_r + n_t + n_r * n_t)
                              + _REALIZATION_OVERHEAD)}

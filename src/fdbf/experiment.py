@@ -10,11 +10,12 @@ zero-forcing under identical transmit power:
     The gain ratio contains no SNR term, so this metric is independent of
     rho by construction.
 
-Sweeps share channel draws across every grid point that only differs in
-rho or c: per-trial RNG streams are keyed by trial index, the whole batch
-of streams is drawn in one vectorized pass that reproduces the per-trial
-draws bit for bit, and the downlink/leakage geometry for a given
-(seed, trial, n_t) is drawn exactly once. Ratio means and their
+Sweeps share channel draws across the whole grid: per-trial RNG streams
+are keyed by trial index, and each stream's words are drawn once per
+sweep, in vectorized chunks of trials that reproduce the per-trial draws
+bit for bit. Every n_t reads a prefix of those words, so the geometry for
+a given (seed, trial, n_t) is built exactly once, solved for every rho and
+c with the rest of its chunk, and then dropped. Ratio means and their
 confidence intervals are exact up to one final rounding, so they do not
 depend on the order of the trials: the sums are correctly rounded, with
 math.fsum's bits, and computed without a Python loop over the values.
@@ -166,39 +167,58 @@ def _gaussian_columns(u, start, k, mean=0.0, std=1.0):
     return complex(mean) + float(std) * box_muller(u1, u2)
 
 
+def _draws(cfg, trials, n_ts):
+    """Channel geometry of trials 0 .. trials - 1 for each n_t, chunk by chunk.
+
+    Yields (rows, n_t, h_d, a) for each chunk of trials and each n_t in
+    n_ts, in that order: a slice of trial indices, and the (rows, n_t)
+    downlink channels and leakage directions a = H^H v of those trials.
+    Trial t's row is bit-identical to draw_realization(cfg with n_t,
+    RngState(cfg.seed, t)). A stream is read as h_u, h_d, H, so each n_t's
+    words are a prefix of the largest n_t's: one vectorized Philox pass per
+    chunk draws those, h_u and v are built once, and each n_t runs the
+    per-trial path's operations on its prefix in the same order, batched.
+    """
+    n_r, top = cfg.n_r, max(n_ts)
+    mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
+    words = 2 * (n_r + top + n_r * top)
+    chunk = max(1, _WORDS_PER_PASS // words)
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        u = uniforms(philox_raw(cfg.seed, np.arange(lo, hi), words))
+        h_u = _gaussian_columns(u, 0, n_r)
+        with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
+            v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
+        # an all-zero h_u is redrawn from the same stream: replay that trial
+        replay = np.flatnonzero(~np.any(h_u, axis=1))
+        for n_t in n_ts:
+            h_d = _gaussian_columns(u, 2 * n_r, n_t)
+            H = _gaussian_columns(u, 2 * (n_r + n_t), n_r * n_t, mean, std)
+            H_adj = H.reshape(hi - lo, n_r, n_t).conj().transpose(0, 2, 1)
+            a = np.matmul(H_adj, v[:, :, None])[:, :, 0]
+            for i in replay:
+                r = draw_realization(cfg.replace(n_t=n_t),
+                                     RngState(cfg.seed, lo + int(i)))
+                h_d[i] = r.h_d
+                a[i] = r.effective_si_vector()
+            if not np.all(np.isfinite(h_d)):
+                raise ValueError("vector entries must be finite")
+            yield slice(lo, hi), n_t, h_d, a
+
+
 def draw_batch(cfg, trials=None):
     """Channel geometry for `trials` independent draws, one RNG stream each.
 
     Returns (h_d, a) of shape (trials, n_t): the downlink channels and the
     effective leakage directions a = H^H v. Row t is bit-identical to
-    draw_realization(cfg, RngState(cfg.seed, t)): the raw words of all
-    streams of a chunk come from one vectorized Philox pass and then go
-    through the per-trial path's operations in the same order, batched.
+    draw_realization(cfg, RngState(cfg.seed, t)). This is the one-n_t view
+    of the chunk drawer run_sweep solves from, with every chunk kept.
     """
     n = cfg.trials if trials is None else int(trials)
-    n_r, n_t = cfg.n_r, cfg.n_t
-    mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
-    words = 2 * (n_r + n_t + n_r * n_t)
-    chunk = max(1, _WORDS_PER_PASS // words)
-    h_d = np.empty((n, n_t), dtype=np.complex128)
-    a = np.empty((n, n_t), dtype=np.complex128)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        u = uniforms(philox_raw(cfg.seed, np.arange(lo, hi), words))
-        h_u = _gaussian_columns(u, 0, n_r)
-        h_d[lo:hi] = _gaussian_columns(u, 2 * n_r, n_t)
-        H = _gaussian_columns(u, 2 * (n_r + n_t), n_r * n_t, mean, std)
-        with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
-            v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
-        H_adj = H.reshape(hi - lo, n_r, n_t).conj().transpose(0, 2, 1)
-        a[lo:hi] = np.matmul(H_adj, v[:, :, None])[:, :, 0]
-        # an all-zero h_u is redrawn from the same stream: replay that trial
-        for t in lo + np.flatnonzero(~np.any(h_u, axis=1)):
-            r = draw_realization(cfg, RngState(cfg.seed, int(t)))
-            h_d[t] = r.h_d
-            a[t] = r.effective_si_vector()
-    if not np.all(np.isfinite(h_d)):
-        raise ValueError("vector entries must be finite")
+    h_d = np.empty((n, cfg.n_t), dtype=np.complex128)
+    a = np.empty((n, cfg.n_t), dtype=np.complex128)
+    for rows, _, h_rows, a_rows in _draws(cfg, n, (cfg.n_t,)):
+        h_d[rows], a[rows] = h_rows, a_rows
     return h_d, a
 
 
@@ -301,37 +321,47 @@ def _mean_ci(values):
 def run_sweep(cfg, axes=None):
     """Monte Carlo sweep over the (n_t, rho_db, c_db) grid.
 
-    For each n_t the channel set is drawn once and the whole c axis is
-    solved in one pass; the zero-forcing rates are computed once per
-    (n_t, rho) and the gain ratios once per (n_t, c) and reused across rho,
-    so the power-saving column is bit-identical along the rho axis by
-    construction. Deterministic given (cfg.seed, axes).
+    Each trial's stream is drawn once per sweep and shared by every n_t as
+    a prefix. Channels are solved chunk by chunk, each (chunk, n_t) pair
+    with the whole c axis in one call, and then dropped: only the gains and
+    the zero-forcing flags are kept. The zero-forcing rates are computed
+    once per (n_t, rho) and the gain ratios once per (n_t, c) and reused
+    across rho, so the power-saving column is bit-identical along the rho
+    axis by construction. Deterministic given (cfg.seed, axes).
     """
     if axes is None:
         axes = SweepAxes.from_config(cfg)
     eps = np.array([si_threshold(cfg.replace(c_db=float(c_db)))
                     for c_db in axes.c_db])
     rhos = [db_to_linear(float(rho_db)) for rho_db in axes.rho_db]
-    points = []
-    for n_t in axes.n_t:
-        cfg_nt = cfg.replace(n_t=int(n_t))
-        h_d, a = draw_batch(cfg_nt, cfg.trials)
+    n = cfg.trials
+    n_ts = tuple(dict.fromkeys(int(n_t) for n_t in axes.n_t))
+    # per n_t: gain_opt (caps, trials), gain_zf and zf_ok (trials,)
+    solved = {n_t: (np.empty((len(eps), n)), np.empty(n),
+                    np.empty(n, dtype=bool)) for n_t in n_ts}
+    for rows, n_t, h_d, a in _draws(cfg, n, n_ts):
         _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(h_d, a, eps)
+        for kept, part in zip(solved[n_t], (gain_opt, gain_zf, zf_ok)):
+            kept[..., rows] = part
+    points = {}
+    for n_t, (gain_opt, gain_zf, zf_ok) in solved.items():
         keep = np.flatnonzero(zf_ok)
-        n_excluded = cfg.trials - keep.size
+        n_excluded = n - keep.size
         g_zf = gain_zf[keep]
         rate_zf = [np.log2(1.0 + rho * g_zf) for rho in rhos]
+        points[n_t] = []
         for c_db, gain in zip(axes.c_db, gain_opt):
             g_opt = gain[keep]
             ps_mean, ps_ci = _mean_ci(1.0 - g_zf / g_opt)
             for rho_db, rho, r_zf in zip(axes.rho_db, rhos, rate_zf):
                 tg_mean, tg_ci = _mean_ci(np.log2(1.0 + rho * g_opt) / r_zf - 1.0)
-                points.append(SweepPoint(n_t=int(n_t), rho_db=float(rho_db),
-                                         c_db=float(c_db), tg_mean=tg_mean,
-                                         tg_ci=tg_ci, ps_mean=ps_mean,
-                                         ps_ci=ps_ci, n_excluded=n_excluded))
-    return SweepResult(axes=axes, points=tuple(points), trials=cfg.trials,
-                       seed=cfg.seed)
+                points[n_t].append(SweepPoint(
+                    n_t=n_t, rho_db=float(rho_db), c_db=float(c_db),
+                    tg_mean=tg_mean, tg_ci=tg_ci, ps_mean=ps_mean,
+                    ps_ci=ps_ci, n_excluded=n_excluded))
+    return SweepResult(axes=axes, trials=n, seed=cfg.seed,
+                       points=tuple(pt for n_t in axes.n_t
+                                    for pt in points[int(n_t)]))
 
 
 def uplink_sinr(realization, w, p_u, p_d, sigma2):

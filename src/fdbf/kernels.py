@@ -106,7 +106,13 @@ def _caps(eps):
 # a non-finite entry, or one so large that ||h_d||^2 ||a||^2 overflows, makes
 # the product of the two reductions inf or nan: checking it costs O(n), not O(n n_t)
 _NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float64 range"
-_NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 too"
+# solve_batch squares ||h_d||^2 in the gains it keeps bit for bit, so that
+# square must neither overflow nor, for a nonzero h_d, leave the normal range
+_NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 a normal float64 unless h_d = 0"
+# a subnormal ||a||^2 makes the projection coefficient a^H h_d / ||a||^2
+# overflow or lose its bits, and with them the leakage split of h_d
+_NORMAL_MIN = np.finfo(np.float64).tiny
+_SUBNORMAL_LEAKAGE = "||a||^2 must be 0 or a normal float64"
 
 
 def _dot_rows(x, y):
@@ -152,7 +158,8 @@ def solve_batch_numpy(h_d, a, eps):
     h_d itself, and rows with alpha = 1 transmit the zero-forcing vector
     and report gain_zf. Every value is bit-identical to a solve with that
     cap alone. Raises ValueError on a cap that is not finite or below 0,
-    and on channels whose ||h_d||^2 ||a||^2 or ||h_d||^4 is not finite.
+    on channels whose ||h_d||^2 ||a||^2 is not finite or whose ||h_d||^4 is
+    not a normal float64 (h_d = 0 aside), and on a subnormal ||a||^2.
     """
     h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
@@ -174,9 +181,12 @@ def solve_batch_numpy(h_d, a, eps):
         gram = _dot_rows(ac, ab).real
         # the gains square hh and h_d^H q, and |h_d^H q| <= hd2
         with np.errstate(over="ignore"):
-            big = ~(np.isfinite(hd2 * gram) & np.isfinite(hd2 * hd2))
-        if big.any():
+            hd4 = hd2 * hd2
+            big = ~(np.isfinite(hd2 * gram) & np.isfinite(hd4))
+        if (big | ((hd2 > 0.0) & (hd4 < _NORMAL_MIN))).any():
             raise ValueError(_NOT_FINITE_BATCH)
+        if ((gram > 0.0) & (gram < _NORMAL_MIN)).any():
+            raise ValueError(_SUBNORMAL_LEAKAGE)
         c = _dot_rows(ac, h)
         mag = c.real ** 2 + c.imag ** 2
 
@@ -236,11 +246,14 @@ def solve_one_numpy(h_d, H, v, eps):
     Returns (alpha, si_opt, gain_opt, norm_w). Counts the full work of one
     solve including the effective leakage direction a = H^H v. alpha comes
     from beamform.closed_form and the gains from _gram_gains, on Python
-    floats. Raises ValueError on a cap that is not finite or below 0, and on
-    a channel or leakage direction whose ||h_d||^2 ||a||^2 is not finite.
+    floats. Raises ValueError on a cap that is not finite or below 0, on
+    a channel or leakage direction whose ||h_d||^2 ||a||^2 is not finite,
+    and on a subnormal ||a||^2.
     """
     a = np.dot(v, H.conj())
     gram = float(np.vdot(a, a).real)
+    if 0.0 < gram < _NORMAL_MIN:
+        raise ValueError(_SUBNORMAL_LEAKAGE)
     cc = complex(np.vdot(a, h_d))
     mag = abs(cc) ** 2
     if gram > 0.0:

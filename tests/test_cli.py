@@ -1,9 +1,11 @@
 import ctypes
 import hashlib
+import json
 import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,8 @@ from fdbf.cli import (Settings, UsageError, build_parser, main, parse_axis,
                       parse_config)
 from fdbf.numerics import RngState
 from fdbf.oracle import grid_search, random_feasible_search
+
+BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def settings_for(argv):
@@ -280,6 +284,23 @@ class TestSweepCommand:
                    "--seed", "7", "--out-dir", str(tmp_path)])
         assert rc == 0
         for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+                == digest, name
+
+    # the two sweep workloads of perfbench/run.py, at their full 10 000
+    # trials: the benchmark gates these bytes, pinned in digests.json
+    @pytest.mark.parametrize("workload, axes", [
+        ("figure_nt", ["--nt", "2..10"]),
+        ("cancel_dense", ["--nt", "64", "--c-db", "-130..-80:1"]),
+    ])
+    def test_benchmark_size_bytes_match_the_benchmark_digests(
+            self, tmp_path, workload, axes):
+        seed = "3"
+        pinned = json.loads(BENCHMARK_DIGESTS.read_text())[workload][seed]
+        rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials", "10000",
+                   "--seed", seed, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
                 == digest, name
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -314,6 +316,12 @@ class TestExactAggregation:
             run_sweep(SystemConfig(n_t=2, trials=20, seed=1))
 
 
+def _bits(points):
+    """Sweep points as tuples with every float as its hex bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v
+                  for v in dataclasses.astuple(pt)) for pt in points]
+
+
 class TestRunSweep:
     def test_single_trial_matches_reference_record(self):
         cfg = SystemConfig(n_t=4, trials=1, seed=3, rho_db=10.0)
@@ -356,21 +364,88 @@ class TestRunSweep:
             assert alone.points == (pt,)
 
     def test_one_solve_per_array_size(self, monkeypatch):
-        # the whole c axis goes to the kernel in one call per n_t
+        # every solve gets the whole c axis, once per (chunk, n_t)
         real_solve = fdbf.experiment.kernels.solve_batch
-        caps = []
+        calls = []
 
         def counting_solve(h_d, a, eps):
-            caps.append(np.shape(eps))
+            calls.append((h_d.shape, np.shape(eps)))
             return real_solve(h_d, a, eps)
 
         monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
                             counting_solve)
+        # n_t = 3 takes 22 words a trial: passes of 16 trials
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 16 * 22)
         axes = SweepAxes(n_t=(2, 3), rho_db=(0.0, 10.0),
                          c_db=(-120.0, -110.0, -100.0))
         res = run_sweep(SystemConfig(trials=40, seed=6), axes)
-        assert caps == [(3,), (3,)]
+        assert calls == [((rows, n_t), (3,)) for rows in (16, 16, 8)
+                         for n_t in (2, 3)]
         assert len(res.points) == 12
+
+    def test_shared_draw_matches_single_n_t_sweeps(self, monkeypatch):
+        # unsorted, with a repeat and n_t = 1; n_t = 4 takes 28 words a
+        # trial, so passes of 7 trials put chunk boundaries inside the 30
+        cfg = SystemConfig(trials=30, seed=8)
+        axes = SweepAxes(n_t=(4, 1, 3, 4), rho_db=(0.0, 10.0),
+                         c_db=(-120.0, -100.0))
+        alone = [run_sweep(cfg, SweepAxes((n_t,), axes.rho_db, axes.c_db))
+                 for n_t in axes.n_t]
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 7 * 28)
+        res = run_sweep(cfg, axes)
+        assert _bits(res.points) == _bits(
+            [pt for r in alone for pt in r.points])
+        assert res.point(1, 0.0, -120.0).n_excluded == cfg.trials
+
+    def test_all_zero_uplink_channel_replays_every_n_t(self, monkeypatch):
+        cfg = SystemConfig(n_r=2, trials=10, seed=4)
+        real_words = fdbf.experiment.philox_raw
+        real_draw = fdbf.experiment.draw_realization
+        real_solve = fdbf.experiment.kernels.solve_batch
+        replayed = []
+        solved = {2: [], 5: []}
+
+        def words_with_zero_uplink(seed, streams, m):
+            w = real_words(seed, streams, m).copy()
+            w[np.asarray(streams) == 6, :cfg.n_r] = 0  # u1 = 1: |h_u| = 0
+            return w
+
+        def counting_draw(cfg_, rng):
+            replayed.append((cfg_.n_t, rng.stream_id))
+            return real_draw(cfg_, rng)
+
+        def keeping_solve(h_d, a, eps):
+            solved[h_d.shape[1]].append((h_d, a))
+            return real_solve(h_d, a, eps)
+
+        monkeypatch.setattr(fdbf.experiment, "philox_raw", words_with_zero_uplink)
+        monkeypatch.setattr(fdbf.experiment, "draw_realization", counting_draw)
+        monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
+                            keeping_solve)
+        # n_t = 5 takes 34 words a trial: passes of 4, trial 6 in the second
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 4 * 34)
+        run_sweep(cfg, SweepAxes((2, 5), (0.0,), (-110.0,)))
+        assert replayed == [(2, 6), (5, 6)]
+        for n_t, parts in solved.items():
+            h_ref, a_ref = _per_trial_draws(cfg.replace(n_t=n_t))
+            np.testing.assert_array_equal(np.concatenate([h for h, _ in parts]),
+                                          h_ref)
+            np.testing.assert_array_equal(np.concatenate([a for _, a in parts]),
+                                          a_ref)
+
+    def test_channels_are_not_kept_across_chunks(self):
+        # all of h_d and a at n_t = 64 would take 2 * 4000 * 64 * 16 bytes
+        cfg = SystemConfig(n_t=64, trials=4000, seed=1)
+        axes = SweepAxes((64,), (0.0,), tuple(range(-130, -79, 5)))
+        run_sweep(cfg.replace(trials=10), axes)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(axes.c_db) == 11
+        assert peak < 2 * cfg.trials * cfg.n_t * 16
 
     def test_deterministic_across_runs(self):
         cfg = SystemConfig(trials=100, seed=9)

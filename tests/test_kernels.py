@@ -475,6 +475,35 @@ class TestBadInputs:
             assert one[0] == 1.0 and one[1] == 0.0 and one[3] == 1.0
             assert one[2] == pytest.approx(gain_zf[i], rel=1e-12)
 
+    def test_subnormal_leakage_norm_is_rejected(self):
+        # ||a||^2 = 1e-320: solve_one once returned alpha = 1 with gain 1.24
+        # where full nulling at n_t = 1 leaves 0, and solve_batch overflowed
+        h, a = np.array([[1e5 + 0j]]), np.array([[1e-160 + 0j]])
+        with pytest.raises(ValueError, match="must be 0 or a normal float64"):
+            kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex), 0.0)
+        with pytest.raises(ValueError, match="must be 0 or a normal float64"):
+            kernels.solve_batch_numpy(h, a, 0.0)
+        # the smallest normal ||a||^2 is still solved: full nulling, gain 0
+        a = np.array([[2.0 ** -511 + 0j]])
+        assert kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex),
+                                       0.0)[:3] == (1.0, 0.0, 0.0)
+        alpha, si, gain, _, _, _ = kernels.solve_batch_numpy(h, a, 0.0)
+        assert (alpha[0], si[0], gain[0]) == (1.0, 0.0, 0.0)
+
+    def test_solve_batch_rejects_a_channel_whose_square_norm_underflows(self):
+        # ||h_d||^4 = 1e-318 is subnormal: the batch once gave
+        # 9.99988867e-161 for both gains where solve_one gives 1e-160
+        h = np.array([[0.0, 1e-80j, 3e-80j]])
+        a = np.array([[0.0, 0.0, 1j]])
+        assert kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex),
+                                       0.0)[2] == 1e-160
+        for eps in (0.0, [0.0, 1e-300]):
+            with pytest.raises(ValueError, match="a normal float64 unless"):
+                kernels.solve_batch_numpy(h, a, eps)
+        # h_d = 0 has no gain to lose and stays valid
+        zero = kernels.solve_batch_numpy(np.zeros_like(h), a, 0.0)
+        assert zero[2][0] == 0.0 and not zero[5][0]
+
 
 class TestSolveOne:
     def test_canonical(self):
