@@ -6,7 +6,7 @@ Library layout:
   channel     system configuration and Rayleigh/Ricean channel draws
   beamform    MRT / ZF baselines, the closed form for alpha* (closed_form,
               its one scalar statement) and the optimal beamformer
-  kernels     numba-or-numpy hot loops (FDBF_BACKEND selects the backend)
+  kernels     numpy hot loops: batched and single solves, grid and sample scans
   oracle      brute-force optimality certifiers and the timing benchmark
   experiment  Monte Carlo throughput-gain / power-saving sweeps
   cli         `fdbf sweep|verify|bench` command-line front end

@@ -1,41 +1,29 @@
-"""Hot numeric loops with two interchangeable backends.
+"""Hot numeric loops of the closed form and its two oracles, in numpy.
 
-Every kernel exists twice: a numba-compiled loop and a vectorized pure-numpy
-twin. The active backend is chosen once at import from the FDBF_BACKEND
-environment variable:
-
-    auto   (default) numba when importable, numpy otherwise
-    numba  require numba, fail at import if missing
-    numpy  force the pure-numpy path even when numba is installed
-
-Both backends implement the same math on complex128 and agree to float
-rounding; they differ only in speed. The module-level names
-`solve_batch`, `solve_one`, `grid_scan`, `sample_scan` point at the selected
-backend; the `*_numpy` / `*_numba` variants stay importable for side-by-side
-benchmarks.
+`solve_batch` solves a batch of instances, `solve_one` a single instance
+from raw (h_d, H, v), `grid_scan` scans the one-parameter family on an alpha
+grid and `sample_scan` scans arbitrary candidate directions. Each is written
+once, vectorized over complex128 arrays.
 
 Shared conventions: channels enter unnormalized, beamformers are normalized
 inside the kernel, downlink gain |h_d^H w|^2 and leakage |a^H w|^2 are
 reported for the normalized vector. A projection residual with squared norm
 below 1e-24 * ||h_d||^2 counts as zero (the parallel corner). Caps must be
-finite and >= 0 (0 asks for full nulling) and channels finite, or the numpy
-kernels raise ValueError.
+finite and >= 0 (0 asks for full nulling), channels finite and of the
+documented shapes, or the kernels raise ValueError.
 
-The numpy solvers take their gains from Gram scalars: with h_d = q + p and
-q orthogonal to p, the optimum w ∝ q + (1 - alpha) p has every norm and
-gain in closed form from ||q||^2, ||p||^2 and |a^H h_d|^2. `_gram_gains`
-states that once, for `solve_one` on Python floats and `solve_batch` on
-arrays; the numba twins still form w.
+The solvers take their gains from Gram scalars: with h_d = q + p and q
+orthogonal to p, the optimum w ∝ q + (1 - alpha) p has every norm and gain
+in closed form from ||q||^2, ||p||^2 and |a^H h_d|^2. `_gram_gains` states
+that once, for `solve_one` on Python floats and `solve_batch` on arrays.
 
 `solve_batch` takes one cap or a 1-D axis of caps. A sweep over the SIC
-level hands it the whole axis in one call: the numpy kernel computes the
-cap-independent geometry of each row block once, and the numba kernel runs
-its one-cap loop per cap. Either way each cap's values are bit-identical to
-a call with that cap alone.
+level hands it the whole axis in one call: the kernel computes the
+cap-independent geometry of each row block once, and each cap's values are
+bit-identical to a call with that cap alone.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -44,46 +32,24 @@ from .numerics import PARALLEL_RTOL
 
 _PAR_TOL_SQ = PARALLEL_RTOL ** 2  # squared relative parallelism threshold
 
-_requested = os.environ.get("FDBF_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"FDBF_BACKEND must be 'auto', 'numba' or 'numpy', got {_requested!r}")
-
-try:
-    from numba import njit
-    _NUMBA_OK = True
-except ImportError:
-    _NUMBA_OK = False
-    if _requested == "numba":
-        raise
-
-BACKEND = "numba" if (_NUMBA_OK and _requested != "numpy") else "numpy"
-HAS_NUMBA = _NUMBA_OK
+# the one kernel implementation; the CLI prints it on its manifest and stdout
+BACKEND = "numpy"
 
 
 def _cvec(x):
     return np.ascontiguousarray(x, dtype=np.complex128)
 
 
-def _cmat(x):
-    return np.ascontiguousarray(x, dtype=np.complex128)
-
-
 def _batch_rows(h_d, a):
-    """h_d and a of a batch solve as (n, n_t) complex128; equal shapes only."""
-    h_d = _cvec(h_d).reshape(len(h_d), -1)
-    a = _cvec(a).reshape(len(a), -1)
-    if h_d.shape != a.shape:
-        raise ValueError(f"h_d and a must have the same shape, "
-                         f"got {h_d.shape} and {a.shape}")
+    """h_d and a of a batch solve as equal (n, n_t) complex128 arrays, n_t >= 1."""
+    h_d, a = _cvec(h_d), _cvec(a)
+    if h_d.ndim != 2 or h_d.shape != a.shape or h_d.shape[1] == 0:
+        raise ValueError(f"h_d and a must be (n, n_t) arrays of the same shape "
+                         f"with n_t >= 1, got {h_d.shape} and {a.shape}")
     return h_d, a
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-# complex entries per row block of solve_batch_numpy: keeps a block's
+# complex entries per row block of solve_batch: keeps a block's
 # temporaries cache-sized and peak memory flat in the trial count. Under
 # the CLI's heap policy (cli._keep_freed_memory) the one-cap figure sweep
 # takes 3-4 page faults per call with half, this or twice this, in the same
@@ -139,7 +105,7 @@ def _gram_gains(q2, p2, mag, b):
     return w2, mu * (mu / d), bb * mag / d
 
 
-def solve_batch_numpy(h_d, a, eps):
+def solve_batch(h_d, a, eps):
     """Closed-form solve of a batch of instances under one cap or a cap axis.
 
     h_d, a: (n, n_t) complex arrays of downlink channels and effective
@@ -157,9 +123,10 @@ def solve_batch_numpy(h_d, a, eps):
     _gram_gains, in O(1) per (row, cap) pair, rows with alpha = 0 transmit
     h_d itself, and rows with alpha = 1 transmit the zero-forcing vector
     and report gain_zf. Every value is bit-identical to a solve with that
-    cap alone. Raises ValueError on a cap that is not finite or below 0,
-    on channels whose ||h_d||^2 ||a||^2 is not finite or whose ||h_d||^4 is
-    not a normal float64 (h_d = 0 aside), and on a subnormal ||a||^2.
+    cap alone. Raises ValueError on h_d and a that are not 2-D of one
+    shape, on a cap that is not finite or below 0, on channels whose
+    ||h_d||^2 ||a||^2 is not finite or whose ||h_d||^4 is not a normal
+    float64 (h_d = 0 aside), and on a subnormal ||a||^2.
     """
     h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
@@ -240,7 +207,7 @@ def solve_batch_numpy(h_d, a, eps):
             gain_zf, norm_w.reshape(out), zf_ok)
 
 
-def solve_one_numpy(h_d, H, v, eps):
+def solve_one(h_d, H, v, eps):
     """Closed-form solve of a single instance from raw (h_d, H, v, eps).
 
     Returns (alpha, si_opt, gain_opt, norm_w). Counts the full work of one
@@ -277,7 +244,7 @@ def solve_one_numpy(h_d, H, v, eps):
 _GRID_CHUNK = 65536
 
 
-def grid_scan_numpy(h_d, p, a, eps, n_grid, tol):
+def grid_scan(h_d, p, a, eps, n_grid, tol):
     """Exhaustive scan of the one-parameter family on a uniform alpha grid.
 
     Evaluates w(alpha) ∝ h_d - alpha p at alpha = g/(n_grid-1) and keeps the
@@ -332,7 +299,7 @@ def _row_sums(x):
     return total
 
 
-def sample_scan_numpy(h_d, a, eps, W):
+def sample_scan(h_d, a, eps, W):
     """Scan arbitrary candidate directions, power-scaled onto the feasible set.
 
     Each row of W is normalized; rows whose unit-power leakage exceeds eps
@@ -344,10 +311,16 @@ def sample_scan_numpy(h_d, a, eps, W):
     a time, in elementwise operations (no BLAS, whose blocking makes a row's
     bits depend on the rows passed with it). So scanning W[k:k+1] gives row
     k the same bits as scanning all of W.
+
+    h_d and a are 1-D of one length n_t >= 1 and W is (m, n_t), or
+    ValueError.
     """
-    h_d = _cvec(h_d)
-    a = _cvec(a)
-    W = _cvec(W).reshape(len(W), -1)
+    h_d, a, W = _cvec(h_d), _cvec(a), _cvec(W)
+    if (h_d.ndim != 1 or h_d.shape != a.shape or W.shape[1:] != h_d.shape
+            or h_d.size == 0):
+        raise ValueError(f"h_d and a must be (n_t,) arrays of the same shape with "
+                         f"n_t >= 1 and W (m, n_t), got {h_d.shape}, {a.shape} "
+                         f"and {W.shape}")
     Wr, Wi = W.real, W.imag
     w2 = _row_sums(Wr * Wr + Wi * Wi)
     # Re and Im of h_d^H w and a^H w, one row of the result each
@@ -369,247 +342,8 @@ def sample_scan_numpy(h_d, a, eps, W):
     return k, float(gain[k]), float(math.sqrt(scale2[k])), max_violation
 
 
-def _per_cap(solve, h_d, a, eps):
-    """Give a one-cap batch solver solve_batch's cap axis.
-
-    Calls solve(h_d, a, cap) once per cap and stacks the cap-dependent
-    outputs along a leading axis; gain_zf and zf_ok do not depend on the
-    cap and come from the first call.
-    """
-    caps = _caps(eps)
-    if caps.ndim == 0:
-        return solve(h_d, a, float(caps))
-    alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok = zip(
-        *(solve(h_d, a, float(e)) for e in caps))
-    return (np.stack(alpha), np.stack(si_opt), np.stack(gain_opt), gain_zf[0],
-            np.stack(norm_w), zf_ok[0])
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _NUMBA_OK:
-
-    @njit(cache=True, nogil=True)
-    def _solve_batch_nb(h_d, a, eps):  # pragma: no cover - replaced by wrapper
-        n, nt = h_d.shape
-        alpha = np.empty(n)
-        si_opt = np.empty(n)
-        gain_opt = np.empty(n)
-        gain_zf = np.empty(n)
-        norm_w = np.empty(n)
-        zf_ok = np.empty(n, np.bool_)
-        for i in range(n):
-            hd2 = 0.0
-            gram = 0.0
-            cc = 0j
-            for j in range(nt):
-                hj = h_d[i, j]
-                aj = a[i, j]
-                hd2 += hj.real * hj.real + hj.imag * hj.imag
-                gram += aj.real * aj.real + aj.imag * aj.imag
-                cc += aj.conjugate() * hj
-            mag = cc.real * cc.real + cc.imag * cc.imag
-            if gram > 0.0:
-                coef = cc / gram
-            else:
-                coef = 0j
-            q2 = 0.0
-            cq = 0j
-            for j in range(nt):
-                qj = h_d[i, j] - a[i, j] * coef
-                q2 += qj.real * qj.real + qj.imag * qj.imag
-                cq += h_d[i, j].conjugate() * qj
-            # stable active branch: 1 - al = min(1, sqrt(eps/(gram-eps)) ||q||/||p||)
-            eta = mag - eps * hd2
-            if gram == 0.0 or eta <= 0.0 or gram <= eps:
-                al = 0.0
-            else:
-                b2 = (eps / (gram - eps)) * (q2 * gram / mag)
-                al = 1.0 - min(1.0, math.sqrt(b2))
-            w2 = 0.0
-            cw = 0j
-            cab = 0j
-            for j in range(nt):
-                wj = h_d[i, j] - al * (a[i, j] * coef)
-                w2 += wj.real * wj.real + wj.imag * wj.imag
-                cw += h_d[i, j].conjugate() * wj
-                cab += a[i, j].conjugate() * wj
-            ok = q2 > _PAR_TOL_SQ * hd2
-            zf_ok[i] = ok
-            if ok:
-                gain_zf[i] = (cq.real * cq.real + cq.imag * cq.imag) / q2
-            else:
-                gain_zf[i] = 0.0
-            if w2 > _PAR_TOL_SQ * hd2:
-                gain_opt[i] = (cw.real * cw.real + cw.imag * cw.imag) / w2
-                si_opt[i] = (cab.real * cab.real + cab.imag * cab.imag) / w2
-                norm_w[i] = 1.0
-            else:
-                gain_opt[i] = eps * hd2 * hd2 / mag
-                si_opt[i] = eps
-                norm_w[i] = math.sqrt(eps * hd2 / mag)
-            alpha[i] = al
-        return alpha, si_opt, gain_opt, gain_zf, norm_w, zf_ok
-
-    @njit(cache=True, nogil=True)
-    def _solve_one_nb(h_d, H, v, eps):  # pragma: no cover - replaced by wrapper
-        nr, nt = H.shape
-        a = np.empty(nt, np.complex128)
-        for j in range(nt):
-            s = 0j
-            for r in range(nr):
-                s += H[r, j].conjugate() * v[r]
-            a[j] = s
-        hd2 = 0.0
-        gram = 0.0
-        cc = 0j
-        for j in range(nt):
-            hj = h_d[j]
-            aj = a[j]
-            hd2 += hj.real * hj.real + hj.imag * hj.imag
-            gram += aj.real * aj.real + aj.imag * aj.imag
-            cc += aj.conjugate() * hj
-        mag = cc.real * cc.real + cc.imag * cc.imag
-        if gram > 0.0:
-            coef = cc / gram
-        else:
-            coef = 0j
-        q2 = 0.0
-        for j in range(nt):
-            qj = h_d[j] - a[j] * coef
-            q2 += qj.real * qj.real + qj.imag * qj.imag
-        eta = mag - eps * hd2
-        if gram == 0.0 or eta <= 0.0 or gram <= eps:
-            al = 0.0
-        else:
-            b2 = (eps / (gram - eps)) * (q2 * gram / mag)
-            al = 1.0 - min(1.0, math.sqrt(b2))
-        w2 = 0.0
-        cw = 0j
-        cab = 0j
-        for j in range(nt):
-            wj = h_d[j] - al * (a[j] * coef)
-            w2 += wj.real * wj.real + wj.imag * wj.imag
-            cw += h_d[j].conjugate() * wj
-            cab += a[j].conjugate() * wj
-        if w2 <= _PAR_TOL_SQ * hd2:
-            return al, eps, eps * hd2 * hd2 / mag, math.sqrt(eps * hd2 / mag)
-        gain = (cw.real * cw.real + cw.imag * cw.imag) / w2
-        si = (cab.real * cab.real + cab.imag * cab.imag) / w2
-        return al, si, gain, 1.0
-
-    @njit(cache=True, nogil=True)
-    def _grid_scan_nb(h_d, p, a, eps, n_grid, tol):  # pragma: no cover
-        nt = h_d.shape[0]
-        hd2 = 0.0
-        for j in range(nt):
-            hd2 += h_d[j].real * h_d[j].real + h_d[j].imag * h_d[j].imag
-        denom = float(max(n_grid - 1, 1))
-        best_idx = -1
-        best_gain = -1.0
-        n_feasible = 0
-        max_violation = 0.0
-        for g in range(n_grid):
-            al = g / denom
-            w2 = 0.0
-            cw = 0j
-            ca = 0j
-            for j in range(nt):
-                wj = h_d[j] - al * p[j]
-                w2 += wj.real * wj.real + wj.imag * wj.imag
-                cw += h_d[j].conjugate() * wj
-                ca += a[j].conjugate() * wj
-            if w2 <= _PAR_TOL_SQ * hd2:
-                continue
-            si = (ca.real * ca.real + ca.imag * ca.imag) / w2
-            if si <= eps + tol:
-                n_feasible += 1
-                viol = si - eps
-                if viol > max_violation:
-                    max_violation = viol
-                gain = (cw.real * cw.real + cw.imag * cw.imag) / w2
-                if gain > best_gain:
-                    best_gain = gain
-                    best_idx = g
-        return best_idx, best_gain, n_feasible, max_violation
-
-    @njit(cache=True, nogil=True)
-    def _sample_scan_nb(h_d, a, eps, W):  # pragma: no cover
-        m, nt = W.shape
-        best_idx = -1
-        best_gain = -1.0
-        best_scale = 1.0
-        max_violation = 0.0
-        for i in range(m):
-            w2 = 0.0
-            cw = 0j
-            ca = 0j
-            for j in range(nt):
-                wj = W[i, j]
-                w2 += wj.real * wj.real + wj.imag * wj.imag
-                cw += h_d[j].conjugate() * wj
-                ca += a[j].conjugate() * wj
-            if w2 == 0.0:
-                continue
-            si_unit = (ca.real * ca.real + ca.imag * ca.imag) / w2
-            if si_unit > eps:
-                scale2 = eps / si_unit
-            else:
-                scale2 = 1.0
-            gain = scale2 * (cw.real * cw.real + cw.imag * cw.imag) / w2
-            viol = scale2 * si_unit - eps
-            if viol > max_violation:
-                max_violation = viol
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-                best_scale = math.sqrt(scale2)
-        return best_idx, best_gain, best_scale, max_violation
-
-    def solve_batch_numba(h_d, a, eps):
-        h_d, a = _batch_rows(h_d, a)
-        return _per_cap(_solve_batch_nb, h_d, a, eps)
-
-    def solve_one_numba(h_d, H, v, eps):
-        return _solve_one_nb(_cvec(h_d), _cmat(H), _cvec(v), float(eps))
-
-    def grid_scan_numba(h_d, p, a, eps, n_grid, tol):
-        return _grid_scan_nb(_cvec(h_d), _cvec(p), _cvec(a), float(eps),
-                             int(n_grid), float(tol))
-
-    def sample_scan_numba(h_d, a, eps, W):
-        W = _cvec(W).reshape(len(W), -1)
-        return _sample_scan_nb(_cvec(h_d), _cvec(a), float(eps), W)
-
-else:
-    solve_batch_numba = None
-    solve_one_numba = None
-    grid_scan_numba = None
-    sample_scan_numba = None
-
-
-if BACKEND == "numba":
-    solve_batch = solve_batch_numba
-    solve_one = solve_one_numba
-    grid_scan = grid_scan_numba
-    sample_scan = sample_scan_numba
-else:
-    solve_batch = solve_batch_numpy
-    solve_one = solve_one_numpy
-    grid_scan = grid_scan_numpy
-    sample_scan = sample_scan_numpy
-
-
 def warmup():
-    """Trigger JIT compilation of all kernels on tiny inputs.
+    """Do nothing: the kernels are plain numpy, with nothing to compile.
 
-    No-op on the numpy backend. Call before timing anything.
+    Kept because perfbench times `import fdbf` plus this call as `setup_s`.
     """
-    h = np.array([[1.0 + 0j, 0.5j]])
-    a = np.array([[0.3 + 0j, 0.1j]])
-    solve_batch(h, a, 0.5)
-    solve_one(h[0], np.array([[1.0 + 0j, 0j]]), np.array([1.0 + 0j]), 0.5)
-    grid_scan(h[0], a[0], a[0], 0.5, 3, 1e-12)
-    sample_scan(h[0], a[0], 0.5, h)

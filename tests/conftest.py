@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import fdbf
-from fdbf import kernels
 from fdbf.channel import ChannelRealization
 
 
@@ -40,12 +39,6 @@ def _tracked_files_unchanged():
                      if after.get(name) != digest)
     if changed:
         pytest.fail(f"tests changed tracked files: {', '.join(changed)}")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # pay the one-time JIT cost before any timed or asserted work
-    kernels.warmup()
 
 
 def child_env(**extra):

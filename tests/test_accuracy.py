@@ -124,7 +124,7 @@ CORNER = (np.array([3e-72j]), np.array([2e-78 + 0j]), 5.2e-171)
 def test_solve_one_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     # one receive antenna with v = 1: the leakage direction H^H v is a
-    alpha, si, gain, norm_w = kernels.solve_one_numpy(
+    alpha, si, gain, norm_w = kernels.solve_one(
         h_d, a[None, :].conj(), np.ones(1, dtype=complex), eps)
     check(h_d, a, eps, alpha, si, gain, norm_w)
 
@@ -139,7 +139,7 @@ def test_solve_one_is_exact_to_the_bound(inst):
 def test_solve_batch_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     alpha, si, gain, gain_zf, norm_w, _ = (
-        x[0] for x in kernels.solve_batch_numpy(h_d[None], a[None], eps))
+        x[0] for x in kernels.solve_batch(h_d[None], a[None], eps))
     if alpha == 1.0 and norm_w == 1.0:
         # the zero-forcing vector q itself, reported as gain_zf, whose
         # h_d^H q = ||q||^2 + p^H q carries rounding of order ulp ||h_d||^2:

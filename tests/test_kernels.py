@@ -1,7 +1,5 @@
 import hashlib
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,9 +10,7 @@ from fdbf.channel import SystemConfig, si_threshold
 from fdbf.experiment import draw_batch
 from fdbf.numerics import inner, matvec_adj, norm_sq
 
-from conftest import canonical_realization, child_env, random_instance
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+from conftest import canonical_realization, random_instance
 
 
 def batch_of(instances):
@@ -22,39 +18,6 @@ def batch_of(instances):
     h = np.stack([h_d for h_d, _, _, _ in instances])
     a = np.stack([matvec_adj(H, v) for _, H, v, _ in instances])
     return h, a
-
-
-class TestBackendSelection:
-    def test_exports(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-        assert isinstance(kernels.HAS_NUMBA, bool)
-        for name in ("solve_batch", "solve_one", "grid_scan", "sample_scan"):
-            assert callable(getattr(kernels, name))
-            assert callable(getattr(kernels, name + "_numpy"))
-
-    def test_dispatch_matches_backend(self):
-        if kernels.BACKEND == "numba":
-            assert kernels.solve_batch is kernels.solve_batch_numba
-            assert kernels.grid_scan is kernels.grid_scan_numba
-        else:
-            assert kernels.solve_batch is kernels.solve_batch_numpy
-            assert kernels.grid_scan is kernels.grid_scan_numpy
-
-    def test_env_forces_numpy(self):
-        env = child_env(FDBF_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", "from fdbf import kernels; print(kernels.BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_rejects_unknown_backend(self):
-        env = child_env(FDBF_BACKEND="bogus")
-        out = subprocess.run(
-            [sys.executable, "-c", "import fdbf.kernels"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode != 0
-        assert "FDBF_BACKEND" in out.stderr
 
 
 class TestSolveBatch:
@@ -123,13 +86,11 @@ class TestSolveBatch:
         h = np.array([[1.0 + 0j, 1e-10 + 0j]])
         a = np.array([[1.0 + 0j, 0j]])
         eps = 1e-14
-        for solver in filter(None, (kernels.solve_batch_numpy,
-                                    kernels.solve_batch_numba)):
-            alpha, si, gain, gain_zf, norm_w, zf_ok = solver(h, a, eps)
-            assert alpha[0] == 1.0
-            assert zf_ok[0]
-            assert gain[0] == gain_zf[0]
-            assert si[0] <= eps
+        alpha, si, gain, gain_zf, norm_w, zf_ok = kernels.solve_batch(h, a, eps)
+        assert alpha[0] == 1.0
+        assert zf_ok[0]
+        assert gain[0] == gain_zf[0]
+        assert si[0] <= eps
 
     def test_single_antenna_rows(self):
         eps = 0.5
@@ -146,7 +107,7 @@ class TestSolveBatch:
 
 
 def _solve_batch_one_cap(h_d, a, eps):
-    """solve_batch_numpy for one scalar cap: all rows at once, every
+    """solve_batch for one scalar cap: all rows at once, every
     cap-independent term recomputed, and the gains of rows with alpha != 0
     from the Gram terms. The reference the cap-axis kernel must reproduce
     bit for bit."""
@@ -303,7 +264,7 @@ class TestCapAxis:
         # from every row active (eps = 0) to none (eps above every |a|^2)
         caps = np.concatenate([[0.0], np.logspace(-12.0, 7.0, 12),
                                [2.0 * gram.max()]])
-        got = kernels.solve_batch_numpy(h, a, caps)
+        got = kernels.solve_batch(h, a, caps)
         assert np.all(got[0][0] > 0.0) and np.all(got[0][-1] == 0.0)
         assert_matches_per_cap(got, h, a, caps)
 
@@ -314,7 +275,7 @@ class TestCapAxis:
         gram = np.einsum("ij,ij->i", a.conj(), a).real
         caps = np.concatenate([[0.0], np.logspace(-16.0, 7.0, 24),
                                [2.0 * gram.max()]])
-        alpha, si, gain, _, _, _ = kernels.solve_batch_numpy(h, a, caps)
+        alpha, si, gain, _, _, _ = kernels.solve_batch(h, a, caps)
         hd2 = np.einsum("ij,ij->i", h.conj(), h).real
         c = np.einsum("ij,ij->i", a.conj(), h)
         p = a * (c / gram)[:, None]
@@ -333,7 +294,7 @@ class TestCapAxis:
 
     def test_edge_rows_on_both_sides_of_a_block_boundary(self):
         h, a = edge_rows_across_a_boundary(np.random.default_rng(47))
-        got = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        got = kernels.solve_batch(h, a, _EDGE_CAPS)
         assert_matches_per_cap(got, h, a, _EDGE_CAPS)
         alpha, _, gain, gain_zf, norm_w, zf_ok = got
         rows = block_rows(2)
@@ -348,17 +309,17 @@ class TestCapAxis:
     def test_block_size_does_not_change_the_solve(self, monkeypatch, entries):
         h, a = random_rows(np.random.default_rng(48), 60, 2)
         h, a = with_edge_rows(h, a, (11, 54))
-        whole = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        whole = kernels.solve_batch(h, a, _EDGE_CAPS)
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
-        blocked = kernels.solve_batch_numpy(h, a, _EDGE_CAPS)
+        blocked = kernels.solve_batch(h, a, _EDGE_CAPS)
         for x, y in zip(whole, blocked):
             np.testing.assert_array_equal(x, y)
 
     def test_output_shapes(self):
         h, a = random_rows(np.random.default_rng(49), 7, 3)
-        scalar = kernels.solve_batch_numpy(h, a, 1e-3)
+        scalar = kernels.solve_batch(h, a, 1e-3)
         assert [x.shape for x in scalar] == [(7,)] * 6
-        axis = kernels.solve_batch_numpy(h, a, [1e-3, 1e-2, 1.0])
+        axis = kernels.solve_batch(h, a, [1e-3, 1e-2, 1.0])
         assert [x.shape for x in axis] == [(3, 7), (3, 7), (3, 7), (7,),
                                            (3, 7), (7,)]
         assert scalar[5].dtype == axis[5].dtype == bool
@@ -369,7 +330,7 @@ class TestCapAxis:
     def test_rejects_other_cap_shapes(self, eps):
         h, a = random_rows(np.random.default_rng(50), 4, 2)
         with pytest.raises(ValueError, match="eps"):
-            kernels.solve_batch_numpy(h, a, eps)
+            kernels.solve_batch(h, a, eps)
 
     @pytest.mark.parametrize("a_shape", [(5, 2), (3, 3)], ids=["rows", "columns"])
     def test_rejects_mismatched_shapes(self, a_shape):
@@ -385,7 +346,7 @@ class TestCapAxis:
         caps = [si_threshold(cfg.replace(c_db=float(c_db)))
                 for c_db in range(-130, -79, 5)]
         got = dict(zip(("alpha", "si_opt", "gain_opt", "gain_zf", "norm_w",
-                        "zf_ok"), kernels.solve_batch_numpy(h, a, caps)))
+                        "zf_ok"), kernels.solve_batch(h, a, caps)))
         assert {k: hashlib.sha256(x.tobytes()).hexdigest()
                 for k, x in got.items()} == {
             "alpha": "072cc004e7a12e7b13dc8280490ee6f5c5e4db5fd2ef90e6fc38560d48ea31a0",
@@ -395,19 +356,6 @@ class TestCapAxis:
             "norm_w": "688456608f8835cb7ab7f0d1918c2af9c8f3d50aad56bb7336a1cd37006a6666",
             "zf_ok": "b6f524d4dcd4f01a9cadd967f443875150f2a303fa0284179dafdee9fd9ac8d2",
         }
-
-    def test_per_cap_stacking_matches_the_array_call(self):
-        # the helper that gives the numba kernel its cap axis, driven here by
-        # the numpy kernel
-        h, a = edge_rows_across_a_boundary(np.random.default_rng(51))
-        stacked = kernels._per_cap(kernels.solve_batch_numpy, h, a, _EDGE_CAPS)
-        for x, y in zip(stacked,
-                        kernels.solve_batch_numpy(h, a, _EDGE_CAPS)):
-            assert x.shape == y.shape
-            np.testing.assert_array_equal(x, y)
-        for x, y in zip(kernels._per_cap(kernels.solve_batch_numpy, h, a, 0.1),
-                        kernels.solve_batch_numpy(h, a, 0.1)):
-            np.testing.assert_array_equal(x, y)
 
 
 class TestBadInputs:
@@ -424,7 +372,28 @@ class TestBadInputs:
             hb, ab = hs.copy(), as_.copy()
             hb[at], ab[at] = h, a
             with pytest.raises(ValueError, match="must be finite"):
-                kernels.solve_batch_numpy(hb, ab, [0.01, 0.1])
+                kernels.solve_batch(hb, ab, [0.01, 0.1])
+
+    # each of these was once reshaped or broadcast into other instances and
+    # solved silently, or failed with TypeError (2-D channel) or
+    # ZeroDivisionError/IndexError (n_t = 0): the 1-D h_d = (1, 1j),
+    # a = (1, 0) came back as two n_t = 1 rows with gain_opt (0.1, 1.0),
+    # where its one n_t = 2 row gives 1.6, and the 1-D candidate (1, 1j)
+    # scored 0.2 where the same candidate as a row scores 0.4
+    @pytest.mark.parametrize("kernel, args", [
+        ("solve_batch", ([1.0, 1j], [1.0, 0.0], 0.1)),
+        ("solve_batch", (np.ones((2, 2, 3)), np.ones((2, 2, 3)), 0.1)),
+        ("sample_scan", ([1.0, 1j], [1.0, 0.0], 0.1, [1.0, 1j])),
+        ("sample_scan", ([1.0, 1j], [1.0, 0.0], 0.1, [[1.0], [1j]])),
+        ("sample_scan", ([[1.0, 1j]], [[1.0, 0.0]], 0.1, [[1.0, 1j]])),
+        ("solve_batch", (np.ones((2, 0)), np.ones((2, 0)), 0.1)),
+        ("sample_scan", (np.ones(0), np.ones(0), 0.1, np.ones((3, 0)))),
+    ], ids=["batch_1d", "batch_3d", "sample_1d_candidate",
+            "sample_one_column", "sample_2d_channel", "batch_no_antenna",
+            "sample_no_antenna"])
+    def test_rejects_malformed_shapes(self, kernel, args):
+        with pytest.raises(ValueError, match="same shape"):
+            getattr(kernels, kernel)(*args)
 
     @pytest.mark.parametrize("eps", [0.0, 1e300, [0.0, 1e300]],
                              ids=["zero_cap", "huge_cap", "cap_axis"])
@@ -434,14 +403,14 @@ class TestBadInputs:
         h = np.array([[0.0, 1e78j, 1e78j]])
         a = np.array([[0.0, 0.0, 1j]])
         with pytest.raises(ValueError, match="must be finite"):
-            kernels.solve_batch_numpy(h, a, eps)
+            kernels.solve_batch(h, a, eps)
 
     @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf, [0.1, -1e-300]],
                              ids=["negative", "nan", "inf", "one_of_an_axis"])
     def test_solve_batch_rejects_bad_caps(self, eps):
         h, a = random_rows(np.random.default_rng(53), 4, 2)
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-            kernels.solve_batch_numpy(h, a, eps)
+            kernels.solve_batch(h, a, eps)
 
     @pytest.mark.parametrize("h_d, H, v", [
         ([1.0, np.nan], [[0.3, 0.1j]], [1.0]),
@@ -453,25 +422,25 @@ class TestBadInputs:
     def test_solve_one_rejects_non_finite_channels(self, h_d, H, v):
         h_d, H, v = (np.array(x, dtype=complex) for x in (h_d, H, v))
         with pytest.raises(ValueError, match="must be finite"):
-            kernels.solve_one_numpy(h_d, H, v, 0.01)
+            kernels.solve_one(h_d, H, v, 0.01)
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_solve_one_rejects_bad_caps(self, eps):
         r = canonical_realization()
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-            kernels.solve_one_numpy(r.h_d, r.H, r.v, eps)
+            kernels.solve_one(r.h_d, r.H, r.v, eps)
 
     def test_zero_cap_is_full_nulling(self):
         # eps = 0 stays valid: every row with leakage nulls it exactly
         h, a = random_rows(np.random.default_rng(54), 50, 3)
-        alpha, si, gain, gain_zf, norm_w, zf_ok = kernels.solve_batch_numpy(
+        alpha, si, gain, gain_zf, norm_w, zf_ok = kernels.solve_batch(
             h, a, 0.0)
         assert np.all(zf_ok) and np.all(norm_w == 1.0)
         assert np.all(alpha == 1.0) and np.all(si == 0.0)
         np.testing.assert_array_equal(gain, gain_zf)
         H = a[:, None, :].conj()  # one receive antenna, v = 1: H^H v = a
         for i in range(len(h)):
-            one = kernels.solve_one_numpy(h[i], H[i], np.ones(1, complex), 0.0)
+            one = kernels.solve_one(h[i], H[i], np.ones(1, complex), 0.0)
             assert one[0] == 1.0 and one[1] == 0.0 and one[3] == 1.0
             assert one[2] == pytest.approx(gain_zf[i], rel=1e-12)
 
@@ -480,14 +449,14 @@ class TestBadInputs:
         # where full nulling at n_t = 1 leaves 0, and solve_batch overflowed
         h, a = np.array([[1e5 + 0j]]), np.array([[1e-160 + 0j]])
         with pytest.raises(ValueError, match="must be 0 or a normal float64"):
-            kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex), 0.0)
+            kernels.solve_one(h[0], a.conj(), np.ones(1, complex), 0.0)
         with pytest.raises(ValueError, match="must be 0 or a normal float64"):
-            kernels.solve_batch_numpy(h, a, 0.0)
+            kernels.solve_batch(h, a, 0.0)
         # the smallest normal ||a||^2 is still solved: full nulling, gain 0
         a = np.array([[2.0 ** -511 + 0j]])
-        assert kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex),
+        assert kernels.solve_one(h[0], a.conj(), np.ones(1, complex),
                                        0.0)[:3] == (1.0, 0.0, 0.0)
-        alpha, si, gain, _, _, _ = kernels.solve_batch_numpy(h, a, 0.0)
+        alpha, si, gain, _, _, _ = kernels.solve_batch(h, a, 0.0)
         assert (alpha[0], si[0], gain[0]) == (1.0, 0.0, 0.0)
 
     def test_solve_batch_rejects_a_channel_whose_square_norm_underflows(self):
@@ -495,13 +464,13 @@ class TestBadInputs:
         # 9.99988867e-161 for both gains where solve_one gives 1e-160
         h = np.array([[0.0, 1e-80j, 3e-80j]])
         a = np.array([[0.0, 0.0, 1j]])
-        assert kernels.solve_one_numpy(h[0], a.conj(), np.ones(1, complex),
+        assert kernels.solve_one(h[0], a.conj(), np.ones(1, complex),
                                        0.0)[2] == 1e-160
         for eps in (0.0, [0.0, 1e-300]):
             with pytest.raises(ValueError, match="a normal float64 unless"):
-                kernels.solve_batch_numpy(h, a, eps)
+                kernels.solve_batch(h, a, eps)
         # h_d = 0 has no gain to lose and stays valid
-        zero = kernels.solve_batch_numpy(np.zeros_like(h), a, 0.0)
+        zero = kernels.solve_batch(np.zeros_like(h), a, 0.0)
         assert zero[2][0] == 0.0 and not zero[5][0]
 
 
@@ -617,9 +586,9 @@ class TestGridScan:
         a = matvec_adj(r.H, r.v)
         p = a * (inner(a, r.h_d) / norm_sq(a))
         n_grid = kernels._GRID_CHUNK * 2 + 17
-        chunked = kernels.grid_scan_numpy(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
+        chunked = kernels.grid_scan(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
         monkeypatch.setattr(kernels, "_GRID_CHUNK", n_grid)
-        whole = kernels.grid_scan_numpy(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
+        whole = kernels.grid_scan(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
         assert chunked == whole
         assert chunked[0] > 0 and chunked[2] > 0
 
@@ -694,56 +663,7 @@ class TestSampleScan:
         assert best_gain == pytest.approx(0.5, abs=1e-12)
 
 
-@needs_numba
-class TestBackendEquivalence:
-    def test_solve_batch(self):
-        rng = np.random.default_rng(34)
-        for n_t in (1, 2, 5, 8):
-            eps = 10.0 ** rng.uniform(-6.0, -1.0)
-            instances = [random_instance(rng, n_t=n_t, eps=eps) for _ in range(50)]
-            h, a = batch_of(instances)
-            res_np = kernels.solve_batch_numpy(h, a, eps)
-            res_nb = kernels.solve_batch_numba(h, a, eps)
-            for x, y in zip(res_np[:5], res_nb[:5]):
-                np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-30)
-            np.testing.assert_array_equal(res_np[5], res_nb[5])
-
-    def test_solve_one(self):
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            h_d, H, v, eps = random_instance(rng)
-            res_np = kernels.solve_one_numpy(h_d, H, v, eps)
-            res_nb = kernels.solve_one_numba(h_d, H, v, eps)
-            assert res_np == pytest.approx(res_nb, rel=1e-12, abs=1e-30)
-
-    def test_grid_scan(self):
-        rng = np.random.default_rng(36)
-        for _ in range(10):
-            h_d, H, v, eps = random_instance(rng, n_t=4)
-            a = matvec_adj(H, v)
-            p = a * (inner(a, h_d) / norm_sq(a))
-            res_np = kernels.grid_scan_numpy(h_d, p, a, eps, 4097, 1e-12)
-            res_nb = kernels.grid_scan_numba(h_d, p, a, eps, 4097, 1e-12)
-            assert res_np[0] == res_nb[0]
-            assert res_np[2] == res_nb[2]
-            assert res_np[1] == pytest.approx(res_nb[1], rel=1e-12)
-            assert res_np[3] == pytest.approx(res_nb[3], rel=1e-12, abs=1e-30)
-
-    def test_sample_scan(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            h_d, H, v, eps = random_instance(rng, n_t=5)
-            a = matvec_adj(H, v)
-            W = rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5))
-            res_np = kernels.sample_scan_numpy(h_d, a, eps, W)
-            res_nb = kernels.sample_scan_numba(h_d, a, eps, W)
-            assert res_np[0] == res_nb[0]
-            assert res_np[1] == pytest.approx(res_nb[1], rel=1e-12)
-            assert res_np[2] == pytest.approx(res_nb[2], rel=1e-12)
-            # the clamped violation is a difference of nearly equal numbers;
-            # the backends may round it to different sub-1e-15 values
-            assert abs(res_np[3] - res_nb[3]) <= 1e-15
-
-
-def test_warmup_runs_on_any_backend():
-    kernels.warmup()
+def test_warmup_and_backend_name_are_kept():
+    # the benchmark harness times warmup() in its set-up and records BACKEND
+    assert kernels.warmup() is None
+    assert kernels.BACKEND == "numpy"
