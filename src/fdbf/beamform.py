@@ -159,9 +159,10 @@ def optimal(h_d, H, v, epsilon):
 
     Single pass: the effective leakage direction a = H^H v and its squared
     norm are computed once and alpha* follows in O(n_t n_r) arithmetic.
-    In the parallel degenerate corner (alpha* = 1 with h_d parallel to a)
-    the optimum transmits along h_d at reduced power so the leakage sits
-    exactly on the cap; everywhere else the returned vector has unit norm.
+    In the parallel degenerate corner (h_d parallel to a within
+    PARALLEL_RTOL, with the cap active) the optimum transmits along h_d at
+    reduced power so the leakage sits exactly on the cap; everywhere else
+    the returned vector has unit norm.
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -173,14 +174,18 @@ def optimal(h_d, H, v, epsilon):
         raise ValueError("h_d must be nonzero")
     a = matvec_adj(H, v)
     _, q, gram, mag = _leakage_split(h_d, a)
-    al, backoff = closed_form(hd2, gram, mag, norm_sq(q), epsilon)
-    try:
-        return family(al, h_d, a)
-    except DegenerateParallelError:
-        w = (backoff / math.sqrt(hd2)) * h_d
-        return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2,
-                                  norm_w=backoff, alpha=al,
-                                  si_power=abs(inner(a, w)) ** 2, degenerate=True)
+    q2 = norm_sq(q)
+    al, backoff = closed_form(hd2, gram, mag, q2, epsilon)
+    # under an active cap (al != 0), h_d parallel to a takes the corner
+    if al == 0.0 or q2 > PARALLEL_RTOL ** 2 * hd2:
+        try:
+            return family(al, h_d, a)
+        except DegenerateParallelError:
+            pass
+    w = (backoff / math.sqrt(hd2)) * h_d
+    return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2,
+                              norm_w=backoff, alpha=al,
+                              si_power=abs(inner(a, w)) ** 2, degenerate=True)
 
 
 def si_power(w, H, v):

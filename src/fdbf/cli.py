@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__, kernels
 from .beamform import dl_rate, family, optimal, DegenerateParallelError
-from .channel import SystemConfig, db_to_linear, draw_realization, si_threshold
-from .experiment import SweepAxes, run_sweep
+from .channel import SystemConfig, db_to_linear, si_threshold
+from .experiment import SweepAxes, draw_realizations, run_sweep
 from .numerics import RngState
 from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 
@@ -364,8 +364,7 @@ def cmd_bench(settings):
     rows = []
     for n_t in settings.nt:
         cfg = settings.base_config().replace(n_t=n_t)
-        realizations = [draw_realization(cfg, RngState(settings.seed, t))
-                        for t in range(settings.repeats)]
+        realizations = list(draw_realizations(cfg, settings.repeats))
         closed_ns, grid_ns, speedup = timing_bench(realizations,
                                                    settings.grid_points)
         rows.append((n_t, "closed_form", closed_ns, speedup))
@@ -397,8 +396,7 @@ def cmd_verify(settings):
         print(f"FAIL instance {i} (replay: seed {settings.seed}, stream {i}): "
               f"{reason}", file=sys.stderr)
 
-    for i in range(settings.instances):
-        r = draw_realization(cfg, RngState(settings.seed, i))
+    for i, r in enumerate(draw_realizations(cfg, settings.instances)):
         sol = optimal(r.h_d, r.H, r.v, r.epsilon)
         cand = sol
         if settings.perturb_alpha != 0.0 and not sol.degenerate:

@@ -28,15 +28,15 @@ through a per-point counter.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from . import kernels
 from .beamform import dl_rate, optimal, si_power, zf
-from .channel import db_to_linear, draw_realization, ricean_params, si_threshold
-from .numerics import (RngState, box_muller, inner, norm_sq, philox_raw,
-                       uniforms)
+from .channel import (ChannelRealization, db_to_linear, draw_realization,
+                      ricean_params, si_threshold)
+from .numerics import RngState, box_muller, inner, norm_sq, stream_uniforms
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -167,16 +167,31 @@ def _gaussian_columns(u, start, k, mean=0.0, std=1.0):
     return complex(mean) + float(std) * box_muller(u1, u2)
 
 
-def _draws(cfg, trials, n_ts):
-    """Channel geometry of trials 0 .. trials - 1 for each n_t, chunk by chunk.
+class _Draw(NamedTuple):
+    """One chunk of trials at one n_t, as _draws yields it.
 
-    Yields (rows, n_t, h_d, a) for each chunk of trials and each n_t in
-    n_ts, in that order: a slice of trial indices, and the (rows, n_t)
-    downlink channels and leakage directions a = H^H v of those trials.
-    Trial t's row is bit-identical to draw_realization(cfg with n_t,
-    RngState(cfg.seed, t)). A stream is read as h_u, h_d, H, so each n_t's
-    words are a prefix of the largest n_t's: one vectorized Philox pass per
-    chunk draws those, h_u and v are built once, and each n_t runs the
+    rows is the slice of trial indices; h_u (rows, n_r) and v are shared
+    by every n_t of the chunk; h_d (rows, n_t), H (rows, n_r, n_t) and
+    a = H^H v (rows, n_t) are this n_t's.
+    """
+
+    rows: slice
+    n_t: int
+    h_u: np.ndarray
+    h_d: np.ndarray
+    H: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+
+
+def _draws(cfg, trials, n_ts):
+    """Channels of trials 0 .. trials - 1 for each n_t, chunk by chunk.
+
+    Yields a _Draw for each chunk of trials and each n_t in n_ts, in that
+    order. Trial t's rows are bit-identical to draw_realization(cfg with
+    n_t, RngState(cfg.seed, t)). A stream is read as h_u, h_d, H, so each
+    n_t's words are a prefix of the largest n_t's: stream_uniforms draws
+    those once per chunk, h_u and v are built once, and each n_t runs the
     per-trial path's operations on its prefix in the same order, batched.
     """
     n_r, top = cfg.n_r, max(n_ts)
@@ -185,7 +200,7 @@ def _draws(cfg, trials, n_ts):
     chunk = max(1, _WORDS_PER_PASS // words)
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        u = uniforms(philox_raw(cfg.seed, np.arange(lo, hi), words))
+        u = stream_uniforms(cfg.seed, np.arange(lo, hi), words)
         h_u = _gaussian_columns(u, 0, n_r)
         with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
             v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
@@ -194,16 +209,16 @@ def _draws(cfg, trials, n_ts):
         for n_t in n_ts:
             h_d = _gaussian_columns(u, 2 * n_r, n_t)
             H = _gaussian_columns(u, 2 * (n_r + n_t), n_r * n_t, mean, std)
-            H_adj = H.reshape(hi - lo, n_r, n_t).conj().transpose(0, 2, 1)
-            a = np.matmul(H_adj, v[:, :, None])[:, :, 0]
+            H = H.reshape(hi - lo, n_r, n_t)
+            a = np.matmul(H.conj().transpose(0, 2, 1), v[:, :, None])[:, :, 0]
             for i in replay:
                 r = draw_realization(cfg.replace(n_t=n_t),
                                      RngState(cfg.seed, lo + int(i)))
-                h_d[i] = r.h_d
+                h_u[i], h_d[i], H[i], v[i] = r.h_u, r.h_d, r.H, r.v
                 a[i] = r.effective_si_vector()
             if not np.all(np.isfinite(h_d)):
                 raise ValueError("vector entries must be finite")
-            yield slice(lo, hi), n_t, h_d, a
+            yield _Draw(slice(lo, hi), n_t, h_u, h_d, H, v, a)
 
 
 def draw_batch(cfg, trials=None):
@@ -217,9 +232,22 @@ def draw_batch(cfg, trials=None):
     n = cfg.trials if trials is None else int(trials)
     h_d = np.empty((n, cfg.n_t), dtype=np.complex128)
     a = np.empty((n, cfg.n_t), dtype=np.complex128)
-    for rows, _, h_rows, a_rows in _draws(cfg, n, (cfg.n_t,)):
-        h_d[rows], a[rows] = h_rows, a_rows
+    for d in _draws(cfg, n, (cfg.n_t,)):
+        h_d[d.rows], a[d.rows] = d.h_d, d.a
     return h_d, a
+
+
+def draw_realizations(cfg, n):
+    """draw_realization(cfg, RngState(cfg.seed, t)) for t = 0 .. n - 1, lazily.
+
+    Bit-identical to the per-trial draws, but drawn chunk by chunk through
+    the sweep's drawer, so memory stays flat in n. Each realization's
+    arrays are views into its chunk's rows.
+    """
+    eps = si_threshold(cfg)
+    for d in _draws(cfg, n, (cfg.n_t,)):
+        for h_u, h_d, H, v in zip(d.h_u, d.h_d, d.H, d.v):
+            yield ChannelRealization(h_u=h_u, h_d=h_d, H=H, v=v, epsilon=eps)
 
 
 # on sweep ratios two passes leave a few residuals at most and a third
@@ -257,40 +285,20 @@ def _exact_sum(x):
     return math.fsum(partials + tail.tolist())
 
 
-# the two-product below is exact where d * d >= 2**-960 (no error term
-# underflows) and finite; past that, it gives inf or nan, which the test
-# below sends to ** 2 as well
-_SQUARE_MIN = 2.0 ** -960
-_SPLIT = 2.0 ** 27 + 1.0  # Veltkamp split into two 26-bit halves
-_EXP_MASK = np.uint64(0x7FF0000000000000)
-# libm pow is within 0.52 ulp, so it can round the other way than d * d
-# only where d * d's error is near half the gap to the neighbour on its side
-_MIDPOINT_THETA = 0.45
-
-
 def _pow_squares(d):
     """[v ** 2 for v in d.tolist()] bit for bit, as a float64 array.
 
     numpy's d * d is correctly rounded; a Python float's ** 2 is libm pow,
-    which may round the other way near a rounding midpoint. Dekker's
-    two-product gives the exact error of d * d. Only elements whose error
-    is at least theta times the gap to the neighbour, and those outside
-    the two-product's exact range, are recomputed with ** 2, which also
-    keeps the OverflowError it raises. The gap is ulp(d * d), read from the
-    exponent bits. Below a power of two the gap is half that, but d * d is
-    a power of two only when d is one, and then its error is 0.
+    which may round the other way near a rounding midpoint. np.float_power
+    calls libm pow on each element, as ** 2 does (np.power may not: it can
+    take a vectorized pow). Where a finite d squares to inf, ** 2 raises
+    OverflowError, and so does this.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = d * d
-        c = _SPLIT * d
-        hi = c - (c - d)
-        lo = d - hi
-        err = ((hi * hi - s) + (hi + hi) * lo) + lo * lo
-        limit = (s.view(np.uint64) & _EXP_MASK).view(np.float64)
-        limit *= _MIDPOINT_THETA * 2.0 ** -52  # theta ulp(d * d)
-        same = (np.abs(err) < limit) & (s >= _SQUARE_MIN)
-    idx = np.flatnonzero(~same)
-    s[idx] = [v ** 2 for v in d[idx].tolist()]
+    with np.errstate(over="ignore"):
+        s = np.float_power(d, 2.0)
+    over = np.isinf(s)
+    if over.any() and np.isfinite(d[over]).any():
+        raise OverflowError("square out of range")
     return s
 
 
@@ -339,10 +347,10 @@ def run_sweep(cfg, axes=None):
     # per n_t: gain_opt (caps, trials), gain_zf and zf_ok (trials,)
     solved = {n_t: (np.empty((len(eps), n)), np.empty(n),
                     np.empty(n, dtype=bool)) for n_t in n_ts}
-    for rows, n_t, h_d, a in _draws(cfg, n, n_ts):
-        _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(h_d, a, eps)
-        for kept, part in zip(solved[n_t], (gain_opt, gain_zf, zf_ok)):
-            kept[..., rows] = part
+    for d in _draws(cfg, n, n_ts):
+        _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(d.h_d, d.a, eps)
+        for kept, part in zip(solved[d.n_t], (gain_opt, gain_zf, zf_ok)):
+            kept[..., d.rows] = part
     points = {}
     for n_t, (gain_opt, gain_zf, zf_ok) in solved.items():
         keep = np.flatnonzero(zf_ok)

@@ -182,7 +182,9 @@ def solve_batch(h_d, a, eps):
         # a^H w = c
         on = al != 0.0
         w2, g, s = _gram_gains(q2, mag / safe_gram, mag, 1.0 - al)
-        live = np.where(on, w2, hd2) > tol
+        # under an active cap, a row parallel to a (not ok) takes the
+        # corner: the rounding left in its q is no direction to move along
+        live = np.where(on, ok, hd2 > tol)
         safe_hd2 = np.where(hd2 > tol, hd2, 1.0)
         gain = gain_opt[:, blk]
         si = si_opt[:, blk]
@@ -236,7 +238,8 @@ def solve_one(h_d, H, v, eps):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     alpha, backoff = closed_form(hd2, gram, mag, q2, eps)
     w2, gain, si = _gram_gains(q2, p2, mag, 1.0 - alpha)
-    if w2 <= _PAR_TOL_SQ * hd2:
+    # under an active cap (alpha != 0) the corner is h_d parallel to a
+    if (q2 if alpha else w2) <= _PAR_TOL_SQ * hd2:
         return alpha, eps, backoff * backoff * hd2, backoff
     return alpha, si, gain, 1.0
 

@@ -116,11 +116,16 @@ def check(h_d, a, eps, alpha, si, gain, norm_w):
 # a parallel corner whose eps ||h_d||^2 = 4.7e-314 is subnormal, though the
 # back-off norm and gain are normal floats
 CORNER = (np.array([3e-72j]), np.array([2e-78 + 0j]), 5.2e-171)
+# h_d = a / 10, whose q is rounding alone (||q||^2 = 3e-33 ||h_d||^2), under
+# a cap 1.9e-13 below the MRT leakage: the corner, not alpha = 1 - 3e-10
+# on a unit-norm w along the rounding
+ROUNDING_Q = (np.array([0.8359375j]), np.array([8.359375j]), 69.87915039061203)
 
 
 @SETTINGS
 @given(instances())
 @example(CORNER)
+@example(ROUNDING_Q)
 def test_solve_one_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     # one receive antenna with v = 1: the leakage direction H^H v is a
@@ -136,6 +141,7 @@ def test_solve_one_is_exact_to_the_bound(inst):
 @SETTINGS
 @given(instances(h_exp=70))
 @example(CORNER)
+@example(ROUNDING_Q)
 def test_solve_batch_is_exact_to_the_bound(inst):
     h_d, a, eps = inst
     alpha, si, gain, gain_zf, norm_w, _ = (

@@ -238,6 +238,23 @@ class TestOptimal:
             rel=1e-9)
         assert np.allclose(sol.w, sol.norm_w * u, atol=1e-12)
 
+    def test_rounding_left_in_q_is_not_a_direction(self):
+        # h_d = a / 10 leaves only rounding in q; under a cap 1.9e-13 below
+        # the MRT leakage, a unit-norm w along that rounding would leak
+        # ||a||^2 > eps exactly, so all three solvers take the corner
+        h_d = np.array([0.8359375j])
+        H = np.array([[-8.359375j]])  # a = H^H v = 8.359375j
+        v = np.array([1.0 + 0j])
+        eps = 69.87915039061203
+        sol = optimal(h_d, H, v, eps)
+        alpha, si, gain, norm_w = kernels.solve_one(h_d, H, v, eps)
+        batch = kernels.solve_batch(h_d[None], matvec_adj(H, v)[None], eps)
+        assert sol.degenerate and sol.norm_w < 1.0
+        assert norm_w == batch[4][0] == sol.norm_w
+        assert si == batch[1][0] == eps
+        for g in (gain, batch[2][0]):
+            assert g == pytest.approx(sol.dl_gain, rel=1e-15)
+
     def test_single_antenna_paths(self):
         # active cap: power backoff along the only direction
         sol = optimal(np.array([2.0 + 0j]), np.array([[1.0 + 0j]]),

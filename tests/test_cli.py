@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import fdbf.cli
+import fdbf.experiment
 from conftest import child_env
 from fdbf.channel import SystemConfig, draw_realization
 from fdbf.cli import (Settings, UsageError, build_parser, main, parse_axis,
                       parse_config)
-from fdbf.numerics import RngState
+from fdbf.numerics import _LONG_STREAM, RngState
 from fdbf.oracle import grid_search, random_feasible_search
 
 BENCHMARK_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -288,18 +289,31 @@ class TestSweepCommand:
                 == digest, name
 
     # the two sweep workloads of perfbench/run.py, at their full 10 000
-    # trials: the benchmark gates these bytes, pinned in digests.json
+    # trials: the benchmark gates these bytes, pinned in digests.json. Their
+    # streams take the two drawer paths, 64 words and 388, and the test
+    # fails if a change to the threshold puts both on one path
     @pytest.mark.parametrize("workload, axes", [
         ("figure_nt", ["--nt", "2..10"]),
         ("cancel_dense", ["--nt", "64", "--c-db", "-130..-80:1"]),
     ])
     def test_benchmark_size_bytes_match_the_benchmark_digests(
-            self, tmp_path, workload, axes):
+            self, tmp_path, monkeypatch, workload, axes):
         seed = "3"
         pinned = json.loads(BENCHMARK_DIGESTS.read_text())[workload][seed]
+        lengths = set()
+        real_uniforms = fdbf.experiment.stream_uniforms
+
+        def recording_uniforms(seed_, streams, m):
+            lengths.add(m)
+            return real_uniforms(seed_, streams, m)
+
+        monkeypatch.setattr(fdbf.experiment, "stream_uniforms",
+                            recording_uniforms)
         rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials", "10000",
                    "--seed", seed, "--out-dir", str(tmp_path)])
         assert rc == 0
+        assert {m >= _LONG_STREAM for m in lengths} == {
+            workload == "cancel_dense"}
         for name, digest in pinned.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
                 == digest, name

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from fdbf.beamform import optimal, zf
 from fdbf.channel import SystemConfig, draw_realization, si_threshold
 import fdbf.experiment
-from fdbf.numerics import RngState
+from fdbf.numerics import _LONG_STREAM, RngState
 from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult,
                              _exact_sum, _mean_ci, _pow_squares, draw_batch,
-                             power_saving, run_sweep, run_trial,
-                             throughput_gain, uplink_sinr)
+                             draw_realizations, power_saving, run_sweep,
+                             run_trial, throughput_gain, uplink_sinr)
 
 from conftest import canonical_realization
 
@@ -93,6 +93,28 @@ def _per_trial_draws(cfg):
             np.array([r.effective_si_vector() for r in rows]))
 
 
+def _stream_words(n_r, n_t):
+    """Words of one trial's stream: h_u, h_d and H, two uniforms an entry."""
+    return 2 * (n_r + n_t + n_r * n_t)
+
+
+# the smallest n_t whose streams (n_r = 2) take the long-stream path
+_LONG_N_T = -(-(_LONG_STREAM - 4) // 6)
+
+
+def _zero_uplink_of_trial_6(monkeypatch, n_r):
+    """Make trial 6's first n_r uniforms 0, so u1 = 1 and h_u = 0."""
+    real = fdbf.experiment.stream_uniforms
+
+    def uniforms_with_zero_uplink(seed, streams, m):
+        u = real(seed, streams, m)
+        u[np.asarray(streams) == 6, :n_r] = 0.0
+        return u
+
+    monkeypatch.setattr(fdbf.experiment, "stream_uniforms",
+                        uniforms_with_zero_uplink)
+
+
 class TestDrawBatch:
     @pytest.mark.parametrize("seed, n_t, n_r, k_db, trials", [
         (7, 2, 2, 10.0, 300),
@@ -130,28 +152,44 @@ class TestDrawBatch:
             np.testing.assert_array_equal(a[t], r.effective_si_vector())
 
     def test_all_zero_uplink_channel_replays_the_trial(self, monkeypatch):
-        cfg = SystemConfig(n_t=3, n_r=2, trials=10, seed=4)
-        real_words = fdbf.experiment.philox_raw
         real_draw = fdbf.experiment.draw_realization
         replayed = []
-
-        def words_with_zero_uplink(seed, streams, m):
-            w = real_words(seed, streams, m).copy()
-            w[np.asarray(streams) == 6, :cfg.n_r] = 0  # u1 = 1: |h_u| = 0
-            return w
 
         def counting_draw(cfg_, rng):
             replayed.append(rng.stream_id)
             return real_draw(cfg_, rng)
 
-        monkeypatch.setattr(fdbf.experiment, "philox_raw", words_with_zero_uplink)
+        _zero_uplink_of_trial_6(monkeypatch, 2)
         monkeypatch.setattr(fdbf.experiment, "draw_realization", counting_draw)
-        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 4 * 22)
-        h, a = draw_batch(cfg)  # passes of 4 trials: trial 6 is in the second
-        assert replayed == [6]
-        h_ref, a_ref = _per_trial_draws(cfg)
-        np.testing.assert_array_equal(h, h_ref)
-        np.testing.assert_array_equal(a, a_ref)
+        for n_t in (3, _LONG_N_T):  # a short stream and a long one
+            cfg = SystemConfig(n_t=n_t, n_r=2, trials=10, seed=4)
+            replayed.clear()
+            monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS",
+                                4 * _stream_words(cfg.n_r, n_t))
+            h, a = draw_batch(cfg)  # passes of 4 trials: trial 6 in the second
+            assert replayed == [6]
+            h_ref, a_ref = _per_trial_draws(cfg)
+            np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(a, a_ref)
+
+    @pytest.mark.parametrize("n_t, n_r, replay", [(2, 2, False),
+                                                  (_LONG_N_T, 2, False),
+                                                  (3, 1, True)])
+    def test_realizations_equal_single_trial_draws(self, monkeypatch, n_t,
+                                                   n_r, replay):
+        cfg = SystemConfig(n_t=n_t, n_r=n_r, seed=7)
+        if replay:
+            _zero_uplink_of_trial_6(monkeypatch, n_r)
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS",
+                            4 * _stream_words(n_r, n_t))
+        rows = list(draw_realizations(cfg, 10))
+        assert len(rows) == 10
+        for t, r in enumerate(rows):
+            ref = draw_realization(cfg, RngState(cfg.seed, t))
+            for name in ("h_u", "h_d", "H", "v"):
+                np.testing.assert_array_equal(getattr(r, name),
+                                              getattr(ref, name))
+            assert r.epsilon == ref.epsilon
 
     def test_non_finite_draw_raises(self, monkeypatch):
         monkeypatch.setattr(fdbf.experiment, "box_muller",
@@ -399,39 +437,38 @@ class TestRunSweep:
 
     def test_all_zero_uplink_channel_replays_every_n_t(self, monkeypatch):
         cfg = SystemConfig(n_r=2, trials=10, seed=4)
-        real_words = fdbf.experiment.philox_raw
         real_draw = fdbf.experiment.draw_realization
         real_solve = fdbf.experiment.kernels.solve_batch
         replayed = []
-        solved = {2: [], 5: []}
-
-        def words_with_zero_uplink(seed, streams, m):
-            w = real_words(seed, streams, m).copy()
-            w[np.asarray(streams) == 6, :cfg.n_r] = 0  # u1 = 1: |h_u| = 0
-            return w
+        solved = {}
 
         def counting_draw(cfg_, rng):
             replayed.append((cfg_.n_t, rng.stream_id))
             return real_draw(cfg_, rng)
 
         def keeping_solve(h_d, a, eps):
-            solved[h_d.shape[1]].append((h_d, a))
+            solved.setdefault(h_d.shape[1], []).append((h_d, a))
             return real_solve(h_d, a, eps)
 
-        monkeypatch.setattr(fdbf.experiment, "philox_raw", words_with_zero_uplink)
+        _zero_uplink_of_trial_6(monkeypatch, cfg.n_r)
         monkeypatch.setattr(fdbf.experiment, "draw_realization", counting_draw)
         monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
                             keeping_solve)
-        # n_t = 5 takes 34 words a trial: passes of 4, trial 6 in the second
-        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 4 * 34)
-        run_sweep(cfg, SweepAxes((2, 5), (0.0,), (-110.0,)))
-        assert replayed == [(2, 6), (5, 6)]
-        for n_t, parts in solved.items():
-            h_ref, a_ref = _per_trial_draws(cfg.replace(n_t=n_t))
-            np.testing.assert_array_equal(np.concatenate([h for h, _ in parts]),
-                                          h_ref)
-            np.testing.assert_array_equal(np.concatenate([a for _, a in parts]),
-                                          a_ref)
+        for n_ts in ((2, 5), (2, _LONG_N_T)):  # short streams, long ones
+            replayed.clear()
+            solved.clear()
+            # passes of 4 trials sized on the larger n_t: trial 6 in the second
+            monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS",
+                                4 * _stream_words(cfg.n_r, n_ts[1]))
+            run_sweep(cfg, SweepAxes(n_ts, (0.0,), (-110.0,)))
+            assert replayed == [(n_ts[0], 6), (n_ts[1], 6)]
+            assert sorted(solved) == list(n_ts)
+            for n_t, parts in solved.items():
+                h_ref, a_ref = _per_trial_draws(cfg.replace(n_t=n_t))
+                np.testing.assert_array_equal(
+                    np.concatenate([h for h, _ in parts]), h_ref)
+                np.testing.assert_array_equal(
+                    np.concatenate([a for _, a in parts]), a_ref)
 
     def test_channels_are_not_kept_across_chunks(self):
         # all of h_d and a at n_t = 64 would take 2 * 4000 * 64 * 16 bytes

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fdbf.numerics import (RngState, box_muller, inner, matvec_adj, norm_sq,
-                           philox_raw, sample_complex_gaussian, uniforms,
+import fdbf.numerics
+from fdbf.numerics import (_LONG_STREAM, RngState, box_muller, inner,
+                           matvec_adj, norm_sq, philox_raw,
+                           sample_complex_gaussian, stream_uniforms, uniforms,
                            TOL_EQ)
 
 
@@ -106,6 +108,35 @@ class TestVectorizedPhilox:
         words = philox_raw(42, [3], 9)
         np.testing.assert_array_equal(uniforms(words)[0],
                                       RngState(42, 3).generator().random(9))
+
+
+class TestStreamUniforms:
+    # 2**64 - 1 first and last, repeats and no order: a state left over from
+    # one stream would show in the next
+    STREAMS = [2**64 - 1, 5, 0, 5, 2**63, 1, 999_999, 0, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("m", [1, 3, _LONG_STREAM - 1, _LONG_STREAM, 388])
+    def test_rows_equal_fresh_generators(self, seed, m):
+        u = stream_uniforms(seed, self.STREAMS, m)
+        assert u.shape == (len(self.STREAMS), m) and u.dtype == np.float64
+        for row, stream in zip(u, self.STREAMS):
+            np.testing.assert_array_equal(
+                row, RngState(seed, stream).generator().random(m))
+
+    @pytest.mark.parametrize("m, vectorized", [(_LONG_STREAM - 1, True),
+                                               (_LONG_STREAM, False)])
+    def test_stream_length_picks_the_path(self, monkeypatch, m, vectorized):
+        calls = []
+        real = fdbf.numerics.philox_raw
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fdbf.numerics, "philox_raw", counting)
+        stream_uniforms(3, [0, 1], m)
+        assert bool(calls) == vectorized
 
 
 def _box_muller_product(u1, u2):
