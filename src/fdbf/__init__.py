@@ -19,9 +19,8 @@ from .beamform import (BeamformerSolution, DegenerateParallelError, closed_form,
 from .channel import (ChannelRealization, SystemConfig, db_to_linear,
                       draw_realization, ricean_params, si_threshold)
 from .experiment import (SweepAxes, SweepPoint, SweepResult, TrialRecord,
-                         draw_batch, power_saving, run_sweep, run_trial,
-                         throughput_gain, uplink_sinr)
-from .numerics import (TOL_EQ, RngState, inner, matvec_adj, norm_sq,
+                         draw_batch, run_sweep, run_trial, uplink_sinr)
+from .numerics import (RngState, inner, matvec_adj, norm_sq,
                        sample_complex_gaussian)
 from .oracle import (OracleReport, feasible, grid_search,
                      random_feasible_search, timing_bench)
@@ -33,9 +32,8 @@ __all__ = [
     "ChannelRealization", "SystemConfig", "db_to_linear", "draw_realization",
     "ricean_params", "si_threshold",
     "SweepAxes", "SweepPoint", "SweepResult", "TrialRecord", "draw_batch",
-    "power_saving", "run_sweep", "run_trial", "throughput_gain", "uplink_sinr",
-    "TOL_EQ", "RngState", "inner", "matvec_adj", "norm_sq",
-    "sample_complex_gaussian",
+    "run_sweep", "run_trial", "uplink_sinr",
+    "RngState", "inner", "matvec_adj", "norm_sq", "sample_complex_gaussian",
     "OracleReport", "feasible", "grid_search", "random_feasible_search",
     "timing_bench",
 ]

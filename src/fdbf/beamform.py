@@ -27,12 +27,13 @@ zeta = (||a||^2 - epsilon) ||p||^2 exactly, so the active branch is
 
     1 - alpha* = min(1, sqrt(epsilon / (||a||^2 - epsilon)) * ||q|| / ||p||).
 
-closed_form() evaluates this from five scalars, and it is the only scalar
-statement of the decision: optimal() and kernels.solve_one call it, and
-kernels.solve_batch is its vectorized form over a batch of instances and an
-axis of caps. The difference zeta - eta
-cancels catastrophically when h_d is nearly parallel to a, while the
-residual norm ||q|| is computed componentwise and stays accurate.
+The scalar path states each piece once: _leakage_split is the one split
+of h_d into p and q, and closed_form() the one decision, returning alpha*
+with the squared parallel-corner back-off. optimal() and kernels.solve_one
+both call the two; kernels.solve_batch is their vectorized form over a
+batch of instances and an axis of caps. The difference zeta - eta cancels
+catastrophically when h_d is nearly parallel to a, while the residual norm
+||q|| is computed componentwise and stays accurate.
 
 All returned beamformers have unit norm (full available power) except in one
 degenerate corner: h_d parallel to a with the cap active, where nulling would
@@ -71,20 +72,28 @@ class BeamformerSolution:
     degenerate: bool = False
 
 
+# a subnormal ||a||^2 makes the projection coefficient a^H h_d / ||a||^2
+# overflow or lose its bits, and with them the split of h_d
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+_SUBNORMAL_LEAKAGE = "||a||^2 must be 0 or a normal float64"
+
+
 def _leakage_split(h_d, a):
     """Component of h_d along a and the orthogonal remainder.
 
-    Returns (p, q, gram, mag) with p = a (a^H h_d)/||a||^2, q = h_d - p,
-    gram = ||a||^2 and mag = |a^H h_d|^2. For a = 0: p = 0, q = h_d.
+    h_d and a are complex128 vectors of one shape. Returns (p, q, gram, mag)
+    with p = a (a^H h_d)/||a||^2, q = h_d - p, gram = ||a||^2 and
+    mag = |a^H h_d|^2. For ||a||^2 = 0: p = 0, q = h_d. Raises ValueError
+    on a subnormal ||a||^2.
     """
-    gram = norm_sq(a)
-    if gram == 0.0:
-        p = np.zeros_like(h_d)
-        return p, h_d.copy(), 0.0, 0.0
-    c = inner(a, h_d)
+    gram = float(np.vdot(a, a).real)
+    if gram < _NORMAL_MIN:
+        if gram:
+            raise ValueError(_SUBNORMAL_LEAKAGE)
+        return np.zeros_like(h_d), h_d, 0.0, 0.0
+    c = complex(np.vdot(a, h_d))
     p = a * (c / gram)
-    q = h_d - p
-    return p, q, gram, abs(c) ** 2
+    return p, h_d - p, gram, abs(c) ** 2
 
 
 def mrt(h_d):
@@ -126,7 +135,11 @@ def family(alpha, h_d, a):
     a = as_cvector(a)
     if a.shape != h_d.shape:
         raise ValueError(f"dimension mismatch: {h_d.shape} vs {a.shape}")
-    p, _, gram, _ = _leakage_split(h_d, a)
+    return _member(alpha, h_d, a, _leakage_split(h_d, a)[0])
+
+
+def _member(alpha, h_d, a, p):
+    """family(alpha, h_d, a) for checked inputs and p from _leakage_split."""
     w_un = h_d - alpha * p
     n = math.sqrt(norm_sq(w_un))
     if n <= PARALLEL_RTOL * math.sqrt(norm_sq(h_d)):
@@ -138,20 +151,21 @@ def family(alpha, h_d, a):
 
 
 def closed_form(hd2, gram, mag, q2, epsilon):
-    """alpha* and the parallel-corner transmit norm from the Gram scalars.
+    """alpha* and the squared parallel-corner back-off from the Gram scalars.
 
     Inputs are ||h_d||^2, ||a||^2, |a^H h_d|^2, ||q||^2 (q computed
-    componentwise) and the cap. Returns (alpha, backoff): backoff is
-    sqrt(epsilon ||h_d||^2 / |a^H h_d|^2) < 1 when the cap is active, the
+    componentwise) and the cap. Returns (alpha, back2): back2 is
+    epsilon ||h_d||^2 / |a^H h_d|^2 < 1 when the cap is active, the squared
     norm at which transmitting along h_d puts the leakage exactly on the cap
-    (the optimum when h_d is parallel to a), and 1.0 otherwise.
+    (the optimum when h_d is parallel to a), and 1.0 otherwise. That corner
+    transmits norm sqrt(back2) with gain back2 ||h_d||^2.
     """
     if gram == 0.0 or mag - epsilon * hd2 <= 0.0 or gram <= epsilon:
         return 0.0, 1.0
     b2 = (epsilon / (gram - epsilon)) * (q2 * gram / mag)
     # epsilon (hd2 / mag), not epsilon hd2 / mag: epsilon hd2 can be
     # subnormal where the back-off is a normal float
-    return 1.0 - min(1.0, math.sqrt(b2)), math.sqrt(epsilon * (hd2 / mag))
+    return 1.0 - min(1.0, math.sqrt(b2)), epsilon * (hd2 / mag)
 
 
 def optimal(h_d, H, v, epsilon):
@@ -173,15 +187,18 @@ def optimal(h_d, H, v, epsilon):
     if hd2 == 0.0:
         raise ValueError("h_d must be nonzero")
     a = matvec_adj(H, v)
-    _, q, gram, mag = _leakage_split(h_d, a)
+    if a.shape != h_d.shape:
+        raise ValueError(f"dimension mismatch: h_d is {h_d.shape}, H is {H.shape}")
+    p, q, gram, mag = _leakage_split(h_d, a)
     q2 = norm_sq(q)
-    al, backoff = closed_form(hd2, gram, mag, q2, epsilon)
+    al, back2 = closed_form(hd2, gram, mag, q2, epsilon)
     # under an active cap (al != 0), h_d parallel to a takes the corner
     if al == 0.0 or q2 > PARALLEL_RTOL ** 2 * hd2:
         try:
-            return family(al, h_d, a)
+            return _member(al, h_d, a, p)
         except DegenerateParallelError:
             pass
+    backoff = math.sqrt(back2)
     w = (backoff / math.sqrt(hd2)) * h_d
     return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2,
                               norm_w=backoff, alpha=al,

@@ -42,19 +42,6 @@ from .numerics import RngState, box_muller, inner, norm_sq, stream_uniforms
 _Z95 = 1.959963984540054
 
 
-def throughput_gain(rate_opt, rate_zf):
-    """Per-trial throughput gain rate_opt/rate_zf - 1. Requires rate_zf > 0."""
-    if not rate_zf > 0.0:
-        raise ValueError(f"rate_zf must be > 0, got {rate_zf}")
-    return rate_opt / rate_zf - 1.0
-
-def power_saving(gain_opt, gain_zf):
-    """Per-trial power saving 1 - gain_zf/gain_opt. Requires gain_opt > 0."""
-    if not gain_opt > 0.0:
-        raise ValueError(f"gain_opt must be > 0, got {gain_opt}")
-    return 1.0 - gain_zf / gain_opt
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """One Monte Carlo trial: both beamformers on one channel draw.

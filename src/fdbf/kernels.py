@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .beamform import closed_form
+from .beamform import _NORMAL_MIN, _SUBNORMAL_LEAKAGE, _leakage_split, closed_form
 from .numerics import PARALLEL_RTOL
 
 _PAR_TOL_SQ = PARALLEL_RTOL ** 2  # squared relative parallelism threshold
@@ -73,12 +73,10 @@ def _caps(eps):
 # the product of the two reductions inf or nan: checking it costs O(n), not O(n n_t)
 _NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float64 range"
 # solve_batch squares ||h_d||^2 in the gains it keeps bit for bit, so that
-# square must neither overflow nor, for a nonzero h_d, leave the normal range
+# square must neither overflow nor, for a nonzero h_d, leave the normal range.
+# Like beamform._leakage_split, whose bound and message it shares, it
+# rejects a subnormal ||a||^2.
 _NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 a normal float64 unless h_d = 0"
-# a subnormal ||a||^2 makes the projection coefficient a^H h_d / ||a||^2
-# overflow or lose its bits, and with them the leakage split of h_d
-_NORMAL_MIN = np.finfo(np.float64).tiny
-_SUBNORMAL_LEAKAGE = "||a||^2 must be 0 or a normal float64"
 
 
 def _dot_rows(x, y):
@@ -213,34 +211,28 @@ def solve_one(h_d, H, v, eps):
     """Closed-form solve of a single instance from raw (h_d, H, v, eps).
 
     Returns (alpha, si_opt, gain_opt, norm_w). Counts the full work of one
-    solve including the effective leakage direction a = H^H v. alpha comes
-    from beamform.closed_form and the gains from _gram_gains, on Python
-    floats. Raises ValueError on a cap that is not finite or below 0, on
-    a channel or leakage direction whose ||h_d||^2 ||a||^2 is not finite,
-    and on a subnormal ||a||^2.
+    solve including the effective leakage direction a = H^H v. The split
+    of h_d comes from beamform._leakage_split, alpha and the corner
+    back-off from beamform.closed_form and the gains from _gram_gains, on
+    Python floats. Raises ValueError on a cap that is not finite or below
+    0, on a channel or leakage direction whose ||h_d||^2 ||a||^2 is not
+    finite, and on a subnormal ||a||^2.
     """
     a = np.dot(v, H.conj())
-    gram = float(np.vdot(a, a).real)
-    if 0.0 < gram < _NORMAL_MIN:
-        raise ValueError(_SUBNORMAL_LEAKAGE)
-    cc = complex(np.vdot(a, h_d))
-    mag = abs(cc) ** 2
-    if gram > 0.0:
-        p2 = mag / gram
-        q = h_d - a * (cc / gram)
-    else:
-        p2, q = 0.0, h_d
+    _, q, gram, mag = _leakage_split(h_d, a)
+    p2 = mag / gram if gram else 0.0
     q2 = float(np.vdot(q, q).real)
     hd2 = q2 + p2
     if not math.isfinite(hd2 * gram):
         raise ValueError(_NOT_FINITE)
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    alpha, backoff = closed_form(hd2, gram, mag, q2, eps)
+    alpha, back2 = closed_form(hd2, gram, mag, q2, eps)
     w2, gain, si = _gram_gains(q2, p2, mag, 1.0 - alpha)
-    # under an active cap (alpha != 0) the corner is h_d parallel to a
+    # under an active cap (alpha != 0) the corner is h_d parallel to a,
+    # reported as solve_batch reports it
     if (q2 if alpha else w2) <= _PAR_TOL_SQ * hd2:
-        return alpha, eps, backoff * backoff * hd2, backoff
+        return alpha, eps, back2 * hd2, math.sqrt(back2)
     return alpha, si, gain, 1.0
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Centralized tolerances for double-precision dense ops at dimensions <= 64.
-TOL_EQ = 1e-12        # relative equality of scalars/vectors
 PARALLEL_RTOL = 1e-12  # |residual| / |input| below which a projection counts as zero
 
 
@@ -82,10 +80,6 @@ class RngState:
         """Fresh numpy Generator positioned at the start of this stream."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def stream(self, stream_id):
-        """Sibling state addressing another stream under the same seed."""
-        return RngState(self.seed, stream_id)
 
 
 # Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
@@ -213,27 +207,20 @@ def box_muller_uniforms(gen, n):
     return u1, gen.random(n)
 
 
-def _standard_complex_normal(gen, n):
-    """n i.i.d. CN(0, 1) draws from an active Generator.
-
-    Uses the polar (Box-Muller) transform on exactly 2n uniforms so the draw
-    count per call is fixed; no rejection loop is ever taken.
-    """
-    return box_muller(*box_muller_uniforms(gen, n))
-
-
 def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):
     """n i.i.d. complex Gaussian draws CN(mean, std^2).
 
     Total variance is std^2, split evenly between real and imaginary parts.
     `rng` is either an RngState (value semantics: repeated calls with the
     same state return identical vectors) or an active numpy Generator
-    (sequential semantics: each call consumes the stream).
+    (sequential semantics: each call consumes the stream). The Box-Muller
+    transform takes exactly 2n uniforms, so the draw count per call is
+    fixed; no rejection loop is ever taken.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if std < 0:
         raise ValueError("std must be >= 0")
     gen = rng.generator() if isinstance(rng, RngState) else rng
-    z = _standard_complex_normal(gen, n)
+    z = box_muller(*box_muller_uniforms(gen, n))
     return complex(mean) + float(std) * z

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .beamform import family, si_power
+from .beamform import _leakage_split, _member, si_power
 from .numerics import RngState, box_muller, box_muller_uniforms, norm_sq
 
 # Grid feasibility slack. Has to admit exact boundary candidates whose
@@ -96,14 +96,6 @@ def feasible(w, realization, tol=1e-9):
     return si <= realization.epsilon + tol and norm_sq(w) <= 1.0 + tol
 
 
-def _along(h_d, a):
-    """Component p = a (a^H h_d)/||a||^2 of h_d along a; zero when a = 0."""
-    gram = np.vdot(a, a).real
-    if gram > 0.0:
-        return a * (np.vdot(a, h_d) / gram)
-    return np.zeros_like(a)
-
-
 def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
     """Scan the matched-to-nulled family on a uniform alpha grid.
 
@@ -115,8 +107,9 @@ def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
         raise ValueError("grid_points must be >= 2")
     h_d = realization.h_d
     a = realization.effective_si_vector()
+    p = _leakage_split(h_d, a)[0]
     best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
-        h_d, _along(h_d, a), a, realization.epsilon, int(grid_points), float(tol))
+        h_d, p, a, realization.epsilon, int(grid_points), float(tol))
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"), best_w=None,
                             samples_tested=int(grid_points),
@@ -125,7 +118,7 @@ def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
     best_alpha = best_idx / (grid_points - 1)
     return OracleReport(best_alpha=best_alpha,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        best_w=family(best_alpha, h_d, a).w,
+                        best_w=_member(best_alpha, h_d, a, p).w,
                         samples_tested=int(grid_points),
                         max_violation=max_violation, n_feasible=int(n_feasible))
 
@@ -270,7 +263,7 @@ def timing_bench(realizations, grid_points, passes=5):
 
     def run_grid(h_d, H, v, eps, n_grid):
         a = H.conj().T @ v
-        return kernels.grid_scan(h_d, _along(h_d, a), a, eps, n_grid,
+        return kernels.grid_scan(h_d, _leakage_split(h_d, a)[0], a, eps, n_grid,
                                  GRID_FEAS_TOL)
 
     kernels.solve_one(*closed_inputs[0])

@@ -122,9 +122,9 @@ def gram_scalars(h_d, a):
 class TestClosedForm:
     def test_canonical_value(self, canon_parts):
         h_d, _, _, a, eps = canon_parts
-        alpha, backoff = closed_form(*gram_scalars(h_d, a), eps)
+        alpha, back2 = closed_form(*gram_scalars(h_d, a), eps)
         assert alpha == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert backoff == pytest.approx(math.sqrt(0.2), rel=1e-12)
+        assert back2 == pytest.approx(0.2, rel=1e-12)
 
     def test_inactive_cap(self, canon_parts):
         h_d, _, _, a, _ = canon_parts
@@ -140,7 +140,7 @@ class TestClosedForm:
 
     def test_full_nulling_limit(self):
         # no residual off the leakage direction: nulling is all that is left
-        assert closed_form(1.0, 1.0, 1.0, 0.0, 0.5) == (1.0, math.sqrt(0.5))
+        assert closed_form(1.0, 1.0, 1.0, 0.0, 0.5) == (1.0, 0.5)
 
     def test_monotone_in_cap(self, canon_parts):
         h_d, _, _, a, _ = canon_parts
@@ -252,8 +252,8 @@ class TestOptimal:
         assert sol.degenerate and sol.norm_w < 1.0
         assert norm_w == batch[4][0] == sol.norm_w
         assert si == batch[1][0] == eps
-        for g in (gain, batch[2][0]):
-            assert g == pytest.approx(sol.dl_gain, rel=1e-15)
+        assert gain == batch[2][0]
+        assert gain == pytest.approx(sol.dl_gain, rel=1e-15)
 
     def test_single_antenna_paths(self):
         # active cap: power backoff along the only direction
@@ -277,6 +277,15 @@ class TestOptimal:
             optimal(np.zeros(2, complex), H, v, 0.1)
         with pytest.raises(ValueError):
             optimal(h_d, H, np.ones(3, complex), 0.1)
+
+    def test_subnormal_leakage_norm_is_rejected(self):
+        # ||a||^2 = 1e-322: family once returned dl_gain 1.79418 where the
+        # exact value is 1.8, from a projection coefficient that lost its bits
+        h_d, a = np.array([1.0 + 0j, 1j]), np.array([1e-161 + 0j, 0.0])
+        with pytest.raises(ValueError, match="must be 0 or a normal float64"):
+            family(0.5, h_d, a)
+        with pytest.raises(ValueError, match="must be 0 or a normal float64"):
+            optimal(h_d, a.conj()[None, :], np.array([1.0 + 0j]), 0.5)
 
 
 class TestSiPowerAndRate:

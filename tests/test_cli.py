@@ -351,6 +351,29 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "degenerate instances : 5" in out
 
+    # stdout of `fdbf verify --instances 50 --samples 2000 --grid-points 2000
+    # --seed 7`, byte for byte: its slacks carry the last bits of the closed
+    # form and both oracles, so a refactor that moves one shows here
+    @pytest.mark.parametrize("nt, expected", [
+        ("2", "verify: 50 instances, n_t=2, n_r=2, grid 2000 points, 2000 samples, seed 7\n"
+              "  worst grid slack     : -8.881784e-16 bits/s/Hz (must be >= -1e-06)\n"
+              "  worst sampling slack : 1.937781e-04 bits/s/Hz (must be >= -1e-09)\n"
+              "  worst SI activity err: 2.248039e-15 (must be <= 1e-06)\n"
+              "  degenerate instances : 0\n"
+              "verify: all dominance and activity invariants hold\n"),
+        ("8", "verify: 50 instances, n_t=8, n_r=2, grid 2000 points, 2000 samples, seed 7\n"
+              "  worst grid slack     : -4.440892e-16 bits/s/Hz (must be >= -1e-06)\n"
+              "  worst sampling slack : 2.801306e-01 bits/s/Hz (must be >= -1e-09)\n"
+              "  worst SI activity err: 2.602993e-15 (must be <= 1e-06)\n"
+              "  degenerate instances : 0\n"
+              "verify: all dominance and activity invariants hold\n"),
+    ])
+    def test_stdout_is_pinned(self, capsys, nt, expected):
+        rc = main(["verify", "--instances", "50", "--samples", "2000",
+                   "--grid-points", "2000", "--seed", "7", "--nt", nt])
+        assert rc == 0
+        assert capsys.readouterr().out == expected
+
     def test_negative_control_fails(self, capsys):
         rc = main(["verify", "--instances", "5", "--samples", "500",
                    "--grid-points", "2001", "--seed", "1",

@@ -74,6 +74,15 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(canonical, 1)
 
+    def test_rejects_subnormal_leakage_norm(self):
+        # ||a||^2 = 1e-322 leaves the projection coefficient without its bits
+        v = np.array([1.0 + 0j])
+        r = ChannelRealization(h_u=v.copy(), h_d=np.array([1.0 + 0j, 1j]),
+                               H=np.array([[1e-161 + 0j, 0.0]]), v=v,
+                               epsilon=0.5)
+        with pytest.raises(ValueError, match="must be 0 or a normal float64"):
+            grid_search(r, 101)
+
     def test_parallel_corner_reports_degenerate(self):
         report = grid_search(parallel_realization(), 1001)
         assert report.degenerate
