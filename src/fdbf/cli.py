@@ -2,7 +2,9 @@
 
   fdbf sweep   Monte Carlo sweep; writes tg.csv and ps.csv plus a manifest.
   fdbf verify  brute-force certification of the closed form; exit 1 on any
-               violated invariant.
+               violated invariant. Instances are certified on one forked
+               worker per usable CPU (the affinity mask, so `taskset -c 0`
+               runs serially); the output does not depend on their number.
   fdbf bench   closed-form vs grid-search timing; writes bench.csv plus a
                manifest.
 
@@ -15,8 +17,9 @@ a manifest.txt that is itself a valid config file, so
   fdbf sweep --config <out>/manifest.txt --out-dir <elsewhere>
 
 reproduces the CSV byte-for-byte (timing CSVs reproduce in shape, not in
-measured nanoseconds). Exit codes: 0 success, 1 invariant failure, 2 usage
-error, 3 I/O error.
+measured nanoseconds). `main` sets two process-wide policies once: freed
+memory stays in the C heap, and OpenBLAS runs on one thread. Exit codes: 0
+success, 1 invariant failure, 2 usage error, 3 I/O error.
 """
 
 import argparse
@@ -27,9 +30,12 @@ import os
 import platform
 import re
 import sys
+import threading
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +49,10 @@ from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 # RNG stream ids: channel draws use the instance index, oracle sampling a
 # disjoint block so the certifier never reuses channel randomness.
 _ORACLE_STREAM_BASE = 1_000_000
+
+# instances a verify worker takes per task: enough to hide the pipe's cost,
+# few enough that the workers finish within a chunk of each other
+_VERIFY_CHUNK = 16
 
 # largest count flag: the largest array dimension numpy can represent
 _MAX_COUNT = 2 ** 63 - 1
@@ -90,6 +100,106 @@ def _keep_freed_memory():
     if (mallopt(_M_MMAP_THRESHOLD, 32 << 20)
             and mallopt(_M_TRIM_THRESHOLD, 1 << 30)):
         _heap = "kept"
+
+
+# "one thread" or "default" once _hold_blas_to_one_thread has run. The
+# BLAS thread count belongs to the whole process, so this does too.
+_blas = None
+
+# the (set, get) thread-count functions of each OpenBLAS build numpy may
+# load: numpy's own wheels bundle scipy-openblas with 64- or 32-bit integers,
+# other builds link a system OpenBLAS
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+class _PhdrInfo(ctypes.Structure):
+    # the leading fields of struct dl_phdr_info (link.h)
+    _fields_ = (("addr", ctypes.c_void_p), ("name", ctypes.c_char_p))
+
+
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo),
+                                  ctypes.c_size_t, ctypes.c_void_p)
+
+
+def _loaded_libraries():
+    """Paths of the shared objects loaded into this process."""
+    names = []
+
+    @_PHDR_CALLBACK
+    def collect(info, size, data):
+        names.append(info.contents.name)
+        return 0
+
+    iterate = ctypes.CDLL(None).dl_iterate_phdr
+    iterate.argtypes = (_PHDR_CALLBACK, ctypes.c_void_p)
+    iterate.restype = ctypes.c_int
+    iterate(collect, None)
+    return [os.fsdecode(name) for name in names if name]
+
+
+def _hold_blas_to_one_thread():
+    """Set every OpenBLAS loaded into this process to one thread; once.
+
+    OpenBLAS runs numpy's matrix products on one thread per CPU. On the
+    grid oracle's products that doubles the CPU time for about 6% less wall
+    time, and under `verify`'s worker processes each worker's threads fight
+    the others' for the same CPUs: on 2 vCPUs, two workers took 5.7-5.8 s
+    for a 1000-instance run that one process took 2.7-3.5 s for. The
+    result is "one thread" only if an OpenBLAS was found and reports one
+    thread afterwards; anywhere else (no dl_iterate_phdr, a BLAS other than
+    OpenBLAS) it is "default", and `verify` runs serially.
+    """
+    global _blas
+    if _blas is not None:
+        return
+    _blas = "default"
+    try:
+        paths = _loaded_libraries()
+    except (OSError, TypeError, AttributeError):
+        # no C library to open, or no dl_iterate_phdr in it
+        return
+    capped = []
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREADS:
+            set_threads = getattr(lib, set_name, None)
+            get_threads = getattr(lib, get_name, None)
+            if set_threads is None or get_threads is None:
+                continue
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            set_threads(1)
+            capped.append(get_threads() == 1)
+            break
+    if capped and all(capped):
+        _blas = "one thread"
+
+
+def _verify_workers(instances):
+    """Processes `fdbf verify` certifies its instances on.
+
+    One per CPU this process may run on (its affinity mask, so `taskset -c
+    0` makes the run serial), and at most one per instance. One, so the run
+    is serial, where the BLAS is not held to one thread (see
+    _hold_blas_to_one_thread), where there is no fork or affinity mask, or
+    where another thread runs: a forked child gets copies of the locks that
+    thread holds, and nobody to release them.
+    """
+    if (_blas != "one thread" or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(instances, len(os.sched_getaffinity(0)))
 
 
 class UsageError(Exception):
@@ -248,13 +358,14 @@ class Settings:
         # alphas, so a finer grid certifies nothing more
         if self.grid_points > 2 ** 53 + 1:
             raise UsageError("grid_points must be <= 2**53 + 1")
+        self.workers = _verify_workers(self.instances)
         # what each count sizes: the gains a sweep keeps (one float64 per
         # cap, gain_zf and a flag, per trial and n_t; channels are drawn in
-        # chunks and dropped), the sampling oracle's candidates, the timed
-        # realizations
+        # chunks and dropped), the sampling oracle's candidates, which each
+        # verify worker holds at once, the timed realizations
         n_t, n_r = max(self.nt), self.nr
         sized = {"trials": len(set(self.nt)) * (8 * len(self.c_db) + 9),
-                 "samples": 16 * n_t,
+                 "samples": 16 * n_t * self.workers,
                  "repeats": (16 * (2 * n_r + n_t + n_r * n_t)
                              + _REALIZATION_OVERHEAD)}
         memory = _physical_bytes()
@@ -314,6 +425,7 @@ def _write_manifest(out_dir, command, settings, keys, outputs):
              f"# python = {platform.python_version()}",
              f"# numpy = {np.__version__}",
              f"# heap = {_heap or 'default'}",
+             f"# blas = {_blas or 'default'}",
              f"# created_utc = {stamp}"]
     lines += [f"# output = {name}" for name in outputs]
     lines += [f"{key} = {_config_value(getattr(settings, key))}" for key in keys]
@@ -382,62 +494,97 @@ def cmd_bench(settings):
     return 0
 
 
+class _Verdict(NamedTuple):
+    """What certifying one instance found."""
+
+    reasons: tuple                # failure messages, in the order checked
+    grid_slack: Optional[float]   # None where the grid was degenerate
+    sample_slack: float
+    activity: float               # relative SI activity error; 0 if inactive
+
+
+def _certify(task, *, seed, grid_points, samples, perturb_alpha, rho):
+    """Certify instance i = task[0], realization task[1], against both
+    oracles; prints nothing, so it can run in a worker process."""
+    i, r = task
+    reasons = []
+    sol = optimal(r.h_d, r.H, r.v, r.epsilon)
+    cand = sol
+    if perturb_alpha != 0.0 and not sol.degenerate:
+        alpha = min(1.0, max(0.0, sol.alpha + perturb_alpha))
+        try:
+            cand = family(alpha, r.h_d, r.effective_si_vector())
+        except DegenerateParallelError:
+            cand = sol
+    rate_c = dl_rate(cand.w, r.h_d, rho)
+
+    if not feasible(cand.w, r, tol=1e-9):
+        reasons.append(f"candidate infeasible: si={cand.si_power!r} "
+                       f"norm={cand.norm_w!r} eps={r.epsilon!r}")
+    activity = 0.0
+    if cand.alpha is not None and cand.alpha > 0.0 and cand.si_power is not None:
+        activity = abs(cand.si_power - r.epsilon) / r.epsilon
+        if activity > 1e-6:
+            reasons.append(f"SI constraint not active at alpha={cand.alpha}: "
+                           f"relative error {activity:.3e}")
+
+    grid = grid_search(r, grid_points, rho=rho)
+    if grid.max_violation > 1e-9:
+        reasons.append(f"grid oracle accepted SI overshoot {grid.max_violation:.3e}")
+    grid_slack = None
+    if not grid.degenerate:
+        grid_slack = rate_c - grid.best_rate
+        if grid_slack < -1e-6:
+            reasons.append(f"grid oracle beats candidate by {-grid_slack:.3e} "
+                           f"bits/s/Hz (alpha={cand.alpha} vs grid {grid.best_alpha})")
+
+    rand = random_feasible_search(
+        r, samples, RngState(seed, _ORACLE_STREAM_BASE + i), rho=rho)
+    if rand.max_violation > 1e-9:
+        reasons.append(f"sampling oracle accepted SI overshoot {rand.max_violation:.3e}")
+    sample_slack = rate_c - rand.best_rate
+    if sample_slack < -1e-9:
+        reasons.append(f"random feasible candidate beats closed form by "
+                       f"{-sample_slack:.3e}")
+    return _Verdict(tuple(reasons), grid_slack, sample_slack, activity)
+
+
 def cmd_verify(settings):
     cfg = settings.base_config()
-    rho = db_to_linear(cfg.rho_db)
-    failures = []
+    check = partial(_certify, seed=settings.seed,
+                    grid_points=settings.grid_points, samples=settings.samples,
+                    perturb_alpha=settings.perturb_alpha,
+                    rho=db_to_linear(cfg.rho_db))
+    tasks = enumerate(draw_realizations(cfg, settings.instances))
+    n_failures = 0
     worst_grid_slack = math.inf
     worst_sample_slack = math.inf
     worst_activity = 0.0
     n_degenerate = 0
-
-    def fail(i, reason):
-        failures.append((i, reason))
-        print(f"FAIL instance {i} (replay: seed {settings.seed}, stream {i}): "
-              f"{reason}", file=sys.stderr)
-
-    for i, r in enumerate(draw_realizations(cfg, settings.instances)):
-        sol = optimal(r.h_d, r.H, r.v, r.epsilon)
-        cand = sol
-        if settings.perturb_alpha != 0.0 and not sol.degenerate:
-            alpha = min(1.0, max(0.0, sol.alpha + settings.perturb_alpha))
-            try:
-                cand = family(alpha, r.h_d, r.effective_si_vector())
-            except DegenerateParallelError:
-                cand = sol
-        rate_c = dl_rate(cand.w, r.h_d, rho)
-
-        if not feasible(cand.w, r, tol=1e-9):
-            fail(i, f"candidate infeasible: si={cand.si_power!r} "
-                    f"norm={cand.norm_w!r} eps={r.epsilon!r}")
-        if cand.alpha is not None and cand.alpha > 0.0 and cand.si_power is not None:
-            activity = abs(cand.si_power - r.epsilon) / r.epsilon
-            worst_activity = max(worst_activity, activity)
-            if activity > 1e-6:
-                fail(i, f"SI constraint not active at alpha={cand.alpha}: "
-                        f"relative error {activity:.3e}")
-
-        grid = grid_search(r, settings.grid_points, rho=rho)
-        if grid.max_violation > 1e-9:
-            fail(i, f"grid oracle accepted SI overshoot {grid.max_violation:.3e}")
-        if grid.degenerate:
-            n_degenerate += 1
-        else:
-            slack = rate_c - grid.best_rate
-            worst_grid_slack = min(worst_grid_slack, slack)
-            if slack < -1e-6:
-                fail(i, f"grid oracle beats candidate by {-slack:.3e} bits/s/Hz "
-                        f"(alpha={cand.alpha} vs grid {grid.best_alpha})")
-
-        rand = random_feasible_search(
-            r, settings.samples, RngState(settings.seed, _ORACLE_STREAM_BASE + i),
-            rho=rho)
-        if rand.max_violation > 1e-9:
-            fail(i, f"sampling oracle accepted SI overshoot {rand.max_violation:.3e}")
-        slack = rate_c - rand.best_rate
-        worst_sample_slack = min(worst_sample_slack, slack)
-        if slack < -1e-9:
-            fail(i, f"random feasible candidate beats closed form by {-slack:.3e}")
+    pool = None
+    if settings.workers > 1:
+        # fork, not spawn: a spawned worker imports numpy afresh on every
+        # call, and would not inherit the heap and BLAS policies
+        import multiprocessing
+        pool = multiprocessing.get_context("fork").Pool(settings.workers)
+    try:
+        verdicts = (pool.imap(check, tasks, _VERIFY_CHUNK) if pool is not None
+                    else map(check, tasks))
+        for i, verdict in enumerate(verdicts):
+            for reason in verdict.reasons:
+                n_failures += 1
+                print(f"FAIL instance {i} (replay: seed {settings.seed}, "
+                      f"stream {i}): {reason}", file=sys.stderr)
+            worst_activity = max(worst_activity, verdict.activity)
+            if verdict.grid_slack is None:
+                n_degenerate += 1
+            else:
+                worst_grid_slack = min(worst_grid_slack, verdict.grid_slack)
+            worst_sample_slack = min(worst_sample_slack, verdict.sample_slack)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
     print(f"verify: {settings.instances} instances, n_t={cfg.n_t}, "
           f"n_r={cfg.n_r}, grid {settings.grid_points} points, "
@@ -450,8 +597,8 @@ def cmd_verify(settings):
               f"(must be >= -1e-09)")
     print(f"  worst SI activity err: {worst_activity:.6e} (must be <= 1e-06)")
     print(f"  degenerate instances : {n_degenerate}")
-    if failures:
-        print(f"verify: {len(failures)} violation(s) across "
+    if n_failures:
+        print(f"verify: {n_failures} violation(s) across "
               f"{settings.instances} instances", file=sys.stderr)
         return 1
     print("verify: all dominance and activity invariants hold")
@@ -481,7 +628,7 @@ def build_parser():
     common.add_argument("--grid-points", dest="grid_points",
                         help="alpha grid resolution for oracle searches")
     common.add_argument("--threads", help="accepted for old manifests; "
-                        "ignored (channel draws are batched)")
+                        "ignored (verify uses every CPU it may run on)")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--config", help="flat key = value config file")
 
@@ -505,6 +652,7 @@ def build_parser():
 
 def main(argv=None):
     _keep_freed_memory()
+    _hold_blas_to_one_thread()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -56,6 +56,11 @@ _SAMPLE_ETA = 4e-6
 # with no page faults either way (2-vCPU x86-64, numpy 2.4). Without the
 # policy glibc trims and re-faults the temporaries, and blocks of 4096 took
 # twice the faults of 2048 (234 against 117 per search) and 5-15% longer.
+# With two verify workers sharing the cache (2 vCPUs, 1000 instances at
+# seed 7, two sets of 10 alternating rounds), 2048 took a median of 1.165
+# and 1.151 s, 1024 took 1.230 and 1.195 s (faster in 4 and 3 of 10
+# rounds) and 4096 took 1.094 and 1.087 s (faster in 6 and 7 of 10): no
+# size won 9 of 10, so 2048 stays.
 _SAMPLE_BLOCK = 2048
 # The bounds above are relative, so the filter needs every value it compares
 # to be a normal float. A nonzero candidate has ||w||^2 >= 1e-16 (r_j >= 1e-8

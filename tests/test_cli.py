@@ -1,6 +1,9 @@
 import ctypes
 import hashlib
 import json
+import multiprocessing
+import multiprocessing.context
+import os
 import platform
 import subprocess
 import sys
@@ -264,6 +267,8 @@ class TestSweepCommand:
         assert f"# numpy = {np.__version__}" in lines
         assert fdbf.cli._heap in ("kept", "default")
         assert f"# heap = {fdbf.cli._heap}" in lines
+        assert fdbf.cli._blas in ("one thread", "default")
+        assert f"# blas = {fdbf.cli._blas}" in lines
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         args = ["sweep", "--nt", "3", "--trials", "60", "--seed", "2"]
@@ -382,6 +387,88 @@ class TestVerifyCommand:
         assert "FAIL instance" in capsys.readouterr().err
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """use(n) runs verify as if this process could use n CPUs, with the
+    BLAS held to one thread; returns the worker counts of the pools made."""
+    monkeypatch.setattr(fdbf.cli, "_blas", "one thread")
+    pools = []
+    make_pool = multiprocessing.context.BaseContext.Pool
+
+    def counted_pool(self, processes=None, *args, **kwargs):
+        pools.append(processes)
+        return make_pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", counted_pool)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return pools
+
+    return use
+
+
+def _raise_in_worker(*args, **kwargs):
+    raise ValueError(f"raised in process {os.getpid()}")
+
+
+class TestVerifyWorkers:
+    ARGV = ["verify", "--instances", "40", "--samples", "500",
+            "--grid-points", "500", "--seed", "5"]
+
+    @pytest.mark.parametrize("extra", [[], ["--perturb-alpha", "0.05"]],
+                             ids=["passing", "negative control"])
+    def test_workers_print_the_serial_bytes(self, cpus, capsys, extra):
+        runs = []
+        for n in (2, 1, 2):
+            pools = cpus(n)
+            rc = main(self.ARGV + extra)
+            runs.append((rc, *capsys.readouterr()))
+            assert multiprocessing.active_children() == []
+        assert pools == [2, 2]  # a pool for each two-CPU run, and only them
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == (1 if extra else 0)
+        if extra:
+            assert runs[0][2].count("FAIL instance") > 1
+
+    def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
+            self, cpus, monkeypatch, capsys):
+        pools = cpus(2)
+        monkeypatch.setattr(fdbf.cli, "grid_search", _raise_in_worker)
+        with pytest.raises(ValueError, match="raised in process") as exc:
+            main(self.ARGV)
+        assert pools == [2]
+        assert str(exc.value) != f"raised in process {os.getpid()}"
+        assert multiprocessing.active_children() == []
+
+    def test_runs_serially_without_the_blas_cap(self, cpus, monkeypatch, capsys):
+        pools = cpus(2)
+        monkeypatch.setattr(fdbf.cli, "_blas", "default")
+        assert main(self.ARGV) == 0
+        assert pools == []
+
+    def test_worker_count(self, cpus, monkeypatch):
+        cpus(2)
+        assert fdbf.cli._verify_workers(10) == 2
+        assert fdbf.cli._verify_workers(1) == 1  # at most one per instance
+        cpus(1)  # the affinity mask, as `taskset -c 0` sets it
+        assert fdbf.cli._verify_workers(10) == 1
+        cpus(2)
+        monkeypatch.setattr(fdbf.cli.threading, "active_count", lambda: 2)
+        assert fdbf.cli._verify_workers(10) == 1  # fork would copy held locks
+
+    def test_samples_bound_counts_every_worker(self, cpus, monkeypatch, capsys):
+        # 10**6 samples at n_t = 2 need 32 MB per process: 48 MB holds one
+        # worker's candidates but not two
+        monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 48 << 20)
+        argv = ["verify", "--samples", "1000000", "--instances", "2"]
+        cpus(1)
+        assert settings_for(argv).workers == 1
+        cpus(2)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: samples = 1000000 needs")
+
+
 class TestBenchCommand:
     def test_writes_paired_rows(self, tmp_path):
         rc = main(["bench", "--nt", "2,4", "--repeats", "5",
@@ -435,8 +522,10 @@ class TestTopLevel:
 class TestHeapPolicy:
     @pytest.fixture(autouse=True)
     def fresh_policy(self, monkeypatch):
-        # the policy runs once per process; let each test run it again
+        # the policy runs once per process; let each test run it again,
+        # and keep the BLAS policy away from the faked C library
         monkeypatch.setattr(fdbf.cli, "_heap", None)
+        monkeypatch.setattr(fdbf.cli, "_blas", "default")
 
     @staticmethod
     def fake_libc(monkeypatch, result=1):
@@ -493,3 +582,63 @@ class TestHeapPolicy:
         pairs(20)
         # about 8 500 faults when glibc trims and re-faults the temporaries
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+class TestBlasPolicy:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self, monkeypatch):
+        monkeypatch.setattr(fdbf.cli, "_blas", None)
+
+    @staticmethod
+    def fake_libraries(monkeypatch, libraries, threads_after=1):
+        """Load `libraries` (path: exported names), each of whose thread
+        setters records its argument; getters report threads_after."""
+        calls = []
+
+        def cdll(path):
+            def setter(name):
+                return lambda n: calls.append((path, name, n))
+
+            return SimpleNamespace(**{
+                name: setter(name) if "_set_" in name else lambda: threads_after
+                for name in libraries[path]})
+
+        monkeypatch.setattr(fdbf.cli, "_loaded_libraries", lambda: list(libraries))
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return calls
+
+    def test_holds_numpys_openblas_to_one_thread(self, monkeypatch):
+        numpy_blas = "/site/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
+        calls = self.fake_libraries(monkeypatch, {
+            "/lib/libc.so.6": ["openblas_set_num_threads"],
+            numpy_blas: ["scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_get_num_threads64_"]})
+        fdbf.cli._hold_blas_to_one_thread()
+        fdbf.cli._hold_blas_to_one_thread()  # once per process
+        assert calls == [(numpy_blas, "scipy_openblas_set_num_threads64_", 1)]
+        assert fdbf.cli._blas == "one thread"
+
+    @pytest.mark.parametrize("libraries, threads_after", [
+        ({"/lib/libopenblas.so.0": ["openblas_set_num_threads",
+                                    "openblas_get_num_threads"]}, 2),
+        ({"/lib/libopenblas.so.0": ["openblas_set_num_threads"]}, 1),
+        ({"/lib/libmkl_rt.so": ["MKL_Set_Num_Threads"]}, 1),
+    ], ids=["cap not taken", "no getter", "no OpenBLAS"])
+    def test_anything_else_keeps_the_default(self, monkeypatch, libraries,
+                                             threads_after):
+        self.fake_libraries(monkeypatch, libraries, threads_after)
+        fdbf.cli._hold_blas_to_one_thread()
+        assert fdbf.cli._blas == "default"
+
+    def test_no_library_list_keeps_the_default(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        fdbf.cli._hold_blas_to_one_thread()
+        assert fdbf.cli._blas == "default"
+
+    def test_finds_the_openblas_numpy_loaded(self):
+        blas = getattr(np, "__config__", None)
+        blas = getattr(blas, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        if "openblas" not in blas.get("name", ""):
+            pytest.skip("numpy was not built with OpenBLAS")
+        fdbf.cli._hold_blas_to_one_thread()
+        assert fdbf.cli._blas == "one thread"
