@@ -9,6 +9,7 @@ Library layout:
   kernels     numpy hot loops: batched and single solves, grid and sample scans
   oracle      brute-force optimality certifiers and the timing benchmark
   experiment  Monte Carlo throughput-gain / power-saving sweeps
+  procs       the command's process policies and its one fork-based map
   cli         `fdbf sweep|verify|bench` command-line front end
 """
 
@@ -19,7 +20,7 @@ from .beamform import (BeamformerSolution, DegenerateParallelError, closed_form,
 from .channel import (ChannelRealization, SystemConfig, db_to_linear,
                       draw_realization, ricean_params, si_threshold)
 from .experiment import (SweepAxes, SweepPoint, SweepResult, TrialRecord,
-                         draw_batch, run_sweep, run_trial, uplink_sinr)
+                         draw_batch, run_sweep, run_trial)
 from .numerics import (RngState, inner, matvec_adj, norm_sq,
                        sample_complex_gaussian)
 from .oracle import (OracleReport, feasible, grid_search,
@@ -32,7 +33,7 @@ __all__ = [
     "ChannelRealization", "SystemConfig", "db_to_linear", "draw_realization",
     "ricean_params", "si_threshold",
     "SweepAxes", "SweepPoint", "SweepResult", "TrialRecord", "draw_batch",
-    "run_sweep", "run_trial", "uplink_sinr",
+    "run_sweep", "run_trial",
     "RngState", "inner", "matvec_adj", "norm_sq", "sample_complex_gaussian",
     "OracleReport", "feasible", "grid_search", "random_feasible_search",
     "timing_bench",

@@ -2,11 +2,13 @@
 
   fdbf sweep   Monte Carlo sweep; writes tg.csv and ps.csv plus a manifest.
   fdbf verify  brute-force certification of the closed form; exit 1 on any
-               violated invariant. Instances are certified on one forked
-               worker per usable CPU (the affinity mask, so `taskset -c 0`
-               runs serially); the output does not depend on their number.
+               violated invariant.
   fdbf bench   closed-form vs grid-search timing; writes bench.csv plus a
                manifest.
+
+sweep and verify run on one process per usable CPU (the affinity mask, so
+`taskset -c 0` runs serially) through procs.fork_map; their output does not
+depend on that number. bench runs in one process.
 
 Axis flags accept a scalar, a comma list, or a range lo..hi[:step] (step
 defaults: 2 for --nt, 10 for --rho-db and --c-db). A config file of flat
@@ -17,20 +19,18 @@ a manifest.txt that is itself a valid config file, so
   fdbf sweep --config <out>/manifest.txt --out-dir <elsewhere>
 
 reproduces the CSV byte-for-byte (timing CSVs reproduce in shape, not in
-measured nanoseconds). `main` sets two process-wide policies once: freed
-memory stays in the C heap, and OpenBLAS runs on one thread. Exit codes: 0
-success, 1 invariant failure, 2 usage error, 3 I/O error.
+measured nanoseconds). `main` sets two process-wide policies once (see
+procs): freed memory stays in the C heap, and OpenBLAS runs on one thread.
+Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error.
 """
 
 import argparse
-import ctypes
 import itertools
 import math
 import os
 import platform
 import re
 import sys
-import threading
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from functools import partial
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__, kernels, procs
 from .beamform import dl_rate, family, optimal, DegenerateParallelError
 from .channel import SystemConfig, db_to_linear, si_threshold
 from .experiment import SweepAxes, draw_realizations, run_sweep
@@ -49,10 +49,6 @@ from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 # RNG stream ids: channel draws use the instance index, oracle sampling a
 # disjoint block so the certifier never reuses channel randomness.
 _ORACLE_STREAM_BASE = 1_000_000
-
-# instances a verify worker takes per task: enough to hide the pipe's cost,
-# few enough that the workers finish within a chunk of each other
-_VERIFY_CHUNK = 16
 
 # largest count flag: the largest array dimension numpy can represent
 _MAX_COUNT = 2 ** 63 - 1
@@ -64,142 +60,6 @@ _REALIZATION_OVERHEAD = 1024
 
 def _physical_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-# "kept" or "default" once _keep_freed_memory has run. The allocator's
-# settings belong to the whole process, so this does too.
-_heap = None
-
-
-def _keep_freed_memory():
-    """Make the C allocator keep the memory this process frees; once.
-
-    glibc returns freed numpy temporaries to the kernel and faults them in
-    again for the next verify instance: about 370k minor page faults per
-    1000 instances. A fixed trim and mmap threshold keep them in the heap.
-    Setting either turns off glibc's dynamic thresholds, so both are set.
-    A no-op where the C library has no mallopt, or rejects a value.
-    """
-    global _heap
-    if _heap is not None:
-        return
-    _heap = "default"
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        # no C library to open (Windows has no dlopen(NULL)), or no mallopt
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # serve blocks below 32 MiB (the largest threshold glibc accepts on
-    # 64-bit) from the heap, not mmap, and keep up to 1 GiB of it when freed
-    if (mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-            and mallopt(_M_TRIM_THRESHOLD, 1 << 30)):
-        _heap = "kept"
-
-
-# "one thread" or "default" once _hold_blas_to_one_thread has run. The
-# BLAS thread count belongs to the whole process, so this does too.
-_blas = None
-
-# the (set, get) thread-count functions of each OpenBLAS build numpy may
-# load: numpy's own wheels bundle scipy-openblas with 64- or 32-bit integers,
-# other builds link a system OpenBLAS
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-class _PhdrInfo(ctypes.Structure):
-    # the leading fields of struct dl_phdr_info (link.h)
-    _fields_ = (("addr", ctypes.c_void_p), ("name", ctypes.c_char_p))
-
-
-_PHDR_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo),
-                                  ctypes.c_size_t, ctypes.c_void_p)
-
-
-def _loaded_libraries():
-    """Paths of the shared objects loaded into this process."""
-    names = []
-
-    @_PHDR_CALLBACK
-    def collect(info, size, data):
-        names.append(info.contents.name)
-        return 0
-
-    iterate = ctypes.CDLL(None).dl_iterate_phdr
-    iterate.argtypes = (_PHDR_CALLBACK, ctypes.c_void_p)
-    iterate.restype = ctypes.c_int
-    iterate(collect, None)
-    return [os.fsdecode(name) for name in names if name]
-
-
-def _hold_blas_to_one_thread():
-    """Set every OpenBLAS loaded into this process to one thread; once.
-
-    OpenBLAS runs numpy's matrix products on one thread per CPU. On the
-    grid oracle's products that doubles the CPU time for about 6% less wall
-    time, and under `verify`'s worker processes each worker's threads fight
-    the others' for the same CPUs: on 2 vCPUs, two workers took 5.7-5.8 s
-    for a 1000-instance run that one process took 2.7-3.5 s for. The
-    result is "one thread" only if an OpenBLAS was found and reports one
-    thread afterwards; anywhere else (no dl_iterate_phdr, a BLAS other than
-    OpenBLAS) it is "default", and `verify` runs serially.
-    """
-    global _blas
-    if _blas is not None:
-        return
-    _blas = "default"
-    try:
-        paths = _loaded_libraries()
-    except (OSError, TypeError, AttributeError):
-        # no C library to open, or no dl_iterate_phdr in it
-        return
-    capped = []
-    for path in paths:
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREADS:
-            set_threads = getattr(lib, set_name, None)
-            get_threads = getattr(lib, get_name, None)
-            if set_threads is None or get_threads is None:
-                continue
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-            set_threads(1)
-            capped.append(get_threads() == 1)
-            break
-    if capped and all(capped):
-        _blas = "one thread"
-
-
-def _verify_workers(instances):
-    """Processes `fdbf verify` certifies its instances on.
-
-    One per CPU this process may run on (its affinity mask, so `taskset -c
-    0` makes the run serial), and at most one per instance. One, so the run
-    is serial, where the BLAS is not held to one thread (see
-    _hold_blas_to_one_thread), where there is no fork or affinity mask, or
-    where another thread runs: a forked child gets copies of the locks that
-    thread holds, and nobody to release them.
-    """
-    if (_blas != "one thread" or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(instances, len(os.sched_getaffinity(0)))
 
 
 class UsageError(Exception):
@@ -358,16 +218,21 @@ class Settings:
         # alphas, so a finer grid certifies nothing more
         if self.grid_points > 2 ** 53 + 1:
             raise UsageError("grid_points must be <= 2**53 + 1")
-        self.workers = _verify_workers(self.instances)
+        # processes the command runs on: a sweep splits its chunks and
+        # columns, verify its instances; bench times one process
+        tasks = {"sweep": self.trials, "verify": self.instances}
+        self.workers = procs.worker_count(tasks.get(ns.command, 1))
         # what each count sizes: the gains a sweep keeps (one float64 per
         # cap, gain_zf and a flag, per trial and n_t; channels are drawn in
         # chunks and dropped), the sampling oracle's candidates, which each
-        # verify worker holds at once, the timed realizations
+        # verify worker holds at once, the realizations bench times and
+        # verify certifies
         n_t, n_r = max(self.nt), self.nr
+        realization = (16 * (2 * n_r + n_t + n_r * n_t)
+                       + _REALIZATION_OVERHEAD)
         sized = {"trials": len(set(self.nt)) * (8 * len(self.c_db) + 9),
                  "samples": 16 * n_t * self.workers,
-                 "repeats": (16 * (2 * n_r + n_t + n_r * n_t)
-                             + _REALIZATION_OVERHEAD)}
+                 "repeats": realization, "instances": realization}
         memory = _physical_bytes()
         for field, item_bytes in sized.items():
             count = getattr(self, field)
@@ -424,8 +289,9 @@ def _write_manifest(out_dir, command, settings, keys, outputs):
              f"# backend = {kernels.BACKEND}",
              f"# python = {platform.python_version()}",
              f"# numpy = {np.__version__}",
-             f"# heap = {_heap or 'default'}",
-             f"# blas = {_blas or 'default'}",
+             f"# heap = {procs.heap or 'default'}",
+             f"# blas = {procs.blas or 'default'}",
+             f"# workers = {settings.workers}",
              f"# created_utc = {stamp}"]
     lines += [f"# output = {name}" for name in outputs]
     lines += [f"{key} = {_config_value(getattr(settings, key))}" for key in keys]
@@ -446,7 +312,7 @@ def cmd_sweep(settings):
                          "--nt and --c-db cannot both be ranges")
     axes = SweepAxes(tuple(settings.nt), tuple(settings.rho_db),
                      tuple(settings.c_db))
-    result = run_sweep(settings.base_config(), axes)
+    result = run_sweep(settings.base_config(), axes, settings.workers)
     c_axis_swept = len(settings.c_db) > 1
     tg_rows = []
     ps_rows = []
@@ -561,30 +427,17 @@ def cmd_verify(settings):
     worst_sample_slack = math.inf
     worst_activity = 0.0
     n_degenerate = 0
-    pool = None
-    if settings.workers > 1:
-        # fork, not spawn: a spawned worker imports numpy afresh on every
-        # call, and would not inherit the heap and BLAS policies
-        import multiprocessing
-        pool = multiprocessing.get_context("fork").Pool(settings.workers)
-    try:
-        verdicts = (pool.imap(check, tasks, _VERIFY_CHUNK) if pool is not None
-                    else map(check, tasks))
-        for i, verdict in enumerate(verdicts):
-            for reason in verdict.reasons:
-                n_failures += 1
-                print(f"FAIL instance {i} (replay: seed {settings.seed}, "
-                      f"stream {i}): {reason}", file=sys.stderr)
-            worst_activity = max(worst_activity, verdict.activity)
-            if verdict.grid_slack is None:
-                n_degenerate += 1
-            else:
-                worst_grid_slack = min(worst_grid_slack, verdict.grid_slack)
-            worst_sample_slack = min(worst_sample_slack, verdict.sample_slack)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+    for i, verdict in enumerate(procs.fork_map(check, tasks, settings.workers)):
+        for reason in verdict.reasons:
+            n_failures += 1
+            print(f"FAIL instance {i} (replay: seed {settings.seed}, "
+                  f"stream {i}): {reason}", file=sys.stderr)
+        worst_activity = max(worst_activity, verdict.activity)
+        if verdict.grid_slack is None:
+            n_degenerate += 1
+        else:
+            worst_grid_slack = min(worst_grid_slack, verdict.grid_slack)
+        worst_sample_slack = min(worst_sample_slack, verdict.sample_slack)
 
     print(f"verify: {settings.instances} instances, n_t={cfg.n_t}, "
           f"n_r={cfg.n_r}, grid {settings.grid_points} points, "
@@ -628,7 +481,8 @@ def build_parser():
     common.add_argument("--grid-points", dest="grid_points",
                         help="alpha grid resolution for oracle searches")
     common.add_argument("--threads", help="accepted for old manifests; "
-                        "ignored (verify uses every CPU it may run on)")
+                        "ignored (sweep and verify use every CPU they may "
+                        "run on)")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--config", help="flat key = value config file")
 
@@ -651,8 +505,8 @@ def build_parser():
 
 
 def main(argv=None):
-    _keep_freed_memory()
-    _hold_blas_to_one_thread()
+    procs.keep_freed_memory()
+    procs.hold_blas_to_one_thread()
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -26,6 +26,7 @@ adversarial inputs) are excluded from the ratio averages and surfaced
 through a per-point counter.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
@@ -33,10 +34,10 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from . import kernels
-from .beamform import dl_rate, optimal, si_power, zf
+from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
                       ricean_params, si_threshold)
-from .numerics import RngState, box_muller, inner, norm_sq, stream_uniforms
+from .numerics import RngState, box_muller, stream_uniforms
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -171,21 +172,31 @@ class _Draw(NamedTuple):
     a: np.ndarray
 
 
-def _draws(cfg, trials, n_ts):
+def _chunk_trials(n_r, top):
+    """Trials per chunk of _draws when the largest n_t is `top`."""
+    return max(1, _WORDS_PER_PASS // (2 * (n_r + top + n_r * top)))
+
+
+def _draws(cfg, trials, n_ts, chunks=None):
     """Channels of trials 0 .. trials - 1 for each n_t, chunk by chunk.
 
     Yields a _Draw for each chunk of trials and each n_t in n_ts, in that
-    order. Trial t's rows are bit-identical to draw_realization(cfg with
-    n_t, RngState(cfg.seed, t)). A stream is read as h_u, h_d, H, so each
-    n_t's words are a prefix of the largest n_t's: stream_uniforms draws
-    those once per chunk, h_u and v are built once, and each n_t runs the
-    per-trial path's operations on its prefix in the same order, batched.
+    order; `chunks`, a range of chunk indices, draws only those. Trial t's
+    rows are bit-identical to draw_realization(cfg with n_t,
+    RngState(cfg.seed, t)), whichever chunks are drawn. A stream is read
+    as h_u, h_d, H, so each n_t's words are a prefix of the largest n_t's:
+    stream_uniforms draws those once per chunk, h_u and v are built once,
+    and each n_t runs the per-trial path's operations on its prefix in the
+    same order, batched.
     """
     n_r, top = cfg.n_r, max(n_ts)
     mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
     words = 2 * (n_r + top + n_r * top)
-    chunk = max(1, _WORDS_PER_PASS // words)
-    for lo in range(0, trials, chunk):
+    chunk = _chunk_trials(n_r, top)
+    if chunks is None:
+        chunks = range(-(-trials // chunk))
+    for k in chunks:
+        lo = k * chunk
         hi = min(lo + chunk, trials)
         u = stream_uniforms(cfg.seed, np.arange(lo, hi), words)
         h_u = _gaussian_columns(u, 0, n_r)
@@ -313,7 +324,7 @@ def _mean_ci(values):
     return mean, _Z95 * math.sqrt(var / m)
 
 
-def run_sweep(cfg, axes=None):
+def run_sweep(cfg, axes=None, workers=1):
     """Monte Carlo sweep over the (n_t, rho_db, c_db) grid.
 
     Each trial's stream is drawn once per sweep and shared by every n_t as
@@ -323,7 +334,14 @@ def run_sweep(cfg, axes=None):
     once per (n_t, rho) and the gain ratios once per (n_t, c) and reused
     across rho, so the power-saving column is bit-identical along the rho
     axis by construction. Deterministic given (cfg.seed, axes).
+
+    `workers` processes share the work through procs.fork_map: each draws
+    and solves a range of chunks into shared arrays, then aggregates a
+    range of (n_t, c) columns. A chunk's bits do not depend on which
+    process draws it and the sums are exact, so neither does the result.
     """
+    from . import procs  # not at import: `import fdbf` stays free of it
+
     if axes is None:
         axes = SweepAxes.from_config(cfg)
     eps = np.array([si_threshold(cfg.replace(c_db=float(c_db)))
@@ -332,24 +350,41 @@ def run_sweep(cfg, axes=None):
     n = cfg.trials
     n_ts = tuple(dict.fromkeys(int(n_t) for n_t in axes.n_t))
     # per n_t: gain_opt (caps, trials), gain_zf and zf_ok (trials,)
-    solved = {n_t: (np.empty((len(eps), n)), np.empty(n),
-                    np.empty(n, dtype=bool)) for n_t in n_ts}
-    for d in _draws(cfg, n, n_ts):
-        _, _, gain_opt, gain_zf, _, zf_ok = kernels.solve_batch(d.h_d, d.a, eps)
-        for kept, part in zip(solved[d.n_t], (gain_opt, gain_zf, zf_ok)):
-            kept[..., d.rows] = part
+    gain_opt = procs.shared_empty((len(n_ts), len(eps), n))
+    gain_zf = procs.shared_empty((len(n_ts), n))
+    zf_ok = procs.shared_empty((len(n_ts), n), bool)
+
+    def solve(chunk):
+        for d in _draws(cfg, n, n_ts, range(chunk, chunk + 1)):
+            j = n_ts.index(d.n_t)
+            _, _, g_opt, g_zf, _, ok = kernels.solve_batch(d.h_d, d.a, eps)
+            gain_opt[j, :, d.rows], gain_zf[j, d.rows], zf_ok[j, d.rows] = (
+                g_opt, g_zf, ok)
+
+    @functools.lru_cache(maxsize=1)  # columns come in n_t order
+    def zero_forcing(j):
+        keep = np.flatnonzero(zf_ok[j])
+        g_zf = gain_zf[j, keep]
+        return keep, g_zf, [np.log2(1.0 + rho * g_zf) for rho in rhos]
+
+    def aggregate(column):
+        j, k = column
+        keep, g_zf, rate_zf = zero_forcing(j)
+        g_opt = gain_opt[j, k, keep]
+        tg = [_mean_ci(np.log2(1.0 + rho * g_opt) / r_zf - 1.0)
+              for rho, r_zf in zip(rhos, rate_zf)]
+        return n - keep.size, _mean_ci(1.0 - g_zf / g_opt), tg
+
+    procs.fork_map(solve, range(-(-n // _chunk_trials(cfg.n_r, max(n_ts)))),
+                   workers)
+    columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
+    aggregates = iter(procs.fork_map(aggregate, columns, workers))
     points = {}
-    for n_t, (gain_opt, gain_zf, zf_ok) in solved.items():
-        keep = np.flatnonzero(zf_ok)
-        n_excluded = n - keep.size
-        g_zf = gain_zf[keep]
-        rate_zf = [np.log2(1.0 + rho * g_zf) for rho in rhos]
+    for n_t in n_ts:
         points[n_t] = []
-        for c_db, gain in zip(axes.c_db, gain_opt):
-            g_opt = gain[keep]
-            ps_mean, ps_ci = _mean_ci(1.0 - g_zf / g_opt)
-            for rho_db, rho, r_zf in zip(axes.rho_db, rhos, rate_zf):
-                tg_mean, tg_ci = _mean_ci(np.log2(1.0 + rho * g_opt) / r_zf - 1.0)
+        for c_db in axes.c_db:
+            n_excluded, (ps_mean, ps_ci), tg = next(aggregates)
+            for rho_db, (tg_mean, tg_ci) in zip(axes.rho_db, tg):
                 points[n_t].append(SweepPoint(
                     n_t=n_t, rho_db=float(rho_db), c_db=float(c_db),
                     tg_mean=tg_mean, tg_ci=tg_ci, ps_mean=ps_mean,
@@ -357,15 +392,3 @@ def run_sweep(cfg, axes=None):
     return SweepResult(axes=axes, trials=n, seed=cfg.seed,
                        points=tuple(pt for n_t in axes.n_t
                                     for pt in points[int(n_t)]))
-
-
-def uplink_sinr(realization, w, p_u, p_d, sigma2):
-    """Uplink SINR through combiner v: p_u|v^H h_u|^2 / (p_d|v^H H w|^2 + s2‖v‖^2)."""
-    if p_u < 0.0 or p_d < 0.0 or sigma2 < 0.0:
-        raise ValueError("powers must be >= 0")
-    v = realization.v
-    signal = p_u * abs(inner(v, realization.h_u)) ** 2
-    denom = p_d * si_power(w, realization.H, v) + sigma2 * norm_sq(v)
-    if denom == 0.0:
-        raise ValueError("zero denominator: no self-interference and no noise")
-    return signal / denom

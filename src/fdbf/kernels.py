@@ -51,7 +51,7 @@ def _batch_rows(h_d, a):
 
 # complex entries per row block of solve_batch: keeps a block's
 # temporaries cache-sized and peak memory flat in the trial count. Under
-# the CLI's heap policy (cli._keep_freed_memory) the one-cap figure sweep
+# the CLI's heap policy (procs.keep_freed_memory) the one-cap figure sweep
 # takes 3-4 page faults per call with half, this or twice this, in the same
 # time within noise. Without the policy glibc trims and re-faults the
 # temporaries, and twice this took about 35% more faults (7455 against 5552).

@@ -51,7 +51,7 @@ GRID_FEAS_TOL = 1e-12
 # (2 + 3 eta) eta ||h_d||^2 each way; likewise y'^2 with ||a||^2.
 _SAMPLE_ETA = 4e-6
 # Candidates per filter block: each block's temporaries stay cache-sized.
-# At n_t = 2 under the CLI's heap policy (cli._keep_freed_memory), blocks of
+# At n_t = 2 under the CLI's heap policy (procs.keep_freed_memory), blocks of
 # 1024 took about 20% longer and blocks of 4096 the same time within noise,
 # with no page faults either way (2-vCPU x86-64, numpy 2.4). Without the
 # policy glibc trims and re-faults the temporaries, and blocks of 4096 took

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 from pathlib import Path
@@ -50,6 +51,26 @@ def child_env(**extra):
     src = str(Path(fdbf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry for each os.fork this process makes."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_children():
+    """No worker process is left running, nor left to be reaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def canonical_realization(epsilon=0.1):

@@ -1,8 +1,6 @@
 import ctypes
 import hashlib
 import json
-import multiprocessing
-import multiprocessing.context
 import os
 import platform
 import subprocess
@@ -16,7 +14,8 @@ import pytest
 
 import fdbf.cli
 import fdbf.experiment
-from conftest import child_env
+import fdbf.procs
+from conftest import assert_no_children, child_env, count_forks
 from fdbf.channel import SystemConfig, draw_realization
 from fdbf.cli import (Settings, UsageError, build_parser, main, parse_axis,
                       parse_config)
@@ -265,10 +264,10 @@ class TestSweepCommand:
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert f"# python = {platform.python_version()}" in lines
         assert f"# numpy = {np.__version__}" in lines
-        assert fdbf.cli._heap in ("kept", "default")
-        assert f"# heap = {fdbf.cli._heap}" in lines
-        assert fdbf.cli._blas in ("one thread", "default")
-        assert f"# blas = {fdbf.cli._blas}" in lines
+        assert fdbf.procs.heap in ("kept", "default")
+        assert f"# heap = {fdbf.procs.heap}" in lines
+        assert fdbf.procs.blas in ("one thread", "default")
+        assert f"# blas = {fdbf.procs.blas}" in lines
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         args = ["sweep", "--nt", "3", "--trials", "60", "--seed", "2"]
@@ -296,7 +295,9 @@ class TestSweepCommand:
     # the two sweep workloads of perfbench/run.py, at their full 10 000
     # trials: the benchmark gates these bytes, pinned in digests.json. Their
     # streams take the two drawer paths, 64 words and 388, and the test
-    # fails if a change to the threshold puts both on one path
+    # fails if a change to the threshold puts both on one path. The first
+    # run is serial, so the stream lengths are drawn in this process; the
+    # second runs on every CPU this process may use
     @pytest.mark.parametrize("workload, axes", [
         ("figure_nt", ["--nt", "2..10"]),
         ("cancel_dense", ["--nt", "64", "--c-db", "-130..-80:1"]),
@@ -314,18 +315,21 @@ class TestSweepCommand:
 
         monkeypatch.setattr(fdbf.experiment, "stream_uniforms",
                             recording_uniforms)
-        rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials", "10000",
-                   "--seed", seed, "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert {m >= _LONG_STREAM for m in lengths} == {
-            workload == "cancel_dense"}
-        for name, digest in pinned.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
-                == digest, name
+        usable = os.sched_getaffinity(0)
+        for cpus in ({0}, usable):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials",
+                       "10000", "--seed", seed, "--out-dir", str(tmp_path)])
+            assert rc == 0
+            assert {m >= _LONG_STREAM for m in lengths} == {
+                workload == "cancel_dense"}
+            for name, digest in pinned.items():
+                assert hashlib.sha256(
+                    (tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_out_of_memory_is_an_error_line(self, tmp_path, capsys,
                                             monkeypatch):
-        def no_memory(cfg, axes=None):
+        def no_memory(cfg, axes=None, workers=1):
             raise MemoryError("Unable to allocate 8.00 EiB")
 
         monkeypatch.setattr(fdbf.cli, "run_sweep", no_memory)
@@ -389,21 +393,14 @@ class TestVerifyCommand:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """use(n) runs verify as if this process could use n CPUs, with the
-    BLAS held to one thread; returns the worker counts of the pools made."""
-    monkeypatch.setattr(fdbf.cli, "_blas", "one thread")
-    pools = []
-    make_pool = multiprocessing.context.BaseContext.Pool
-
-    def counted_pool(self, processes=None, *args, **kwargs):
-        pools.append(processes)
-        return make_pool(self, processes, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", counted_pool)
+    """use(n) runs commands as if this process could use n CPUs, with the
+    BLAS held to one thread; returns the list os.fork adds an entry to."""
+    monkeypatch.setattr(fdbf.procs, "blas", "one thread")
+    forks = count_forks(monkeypatch)
 
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        return pools
+        return forks
 
     return use
 
@@ -421,11 +418,11 @@ class TestVerifyWorkers:
     def test_workers_print_the_serial_bytes(self, cpus, capsys, extra):
         runs = []
         for n in (2, 1, 2):
-            pools = cpus(n)
+            forks = cpus(n)
             rc = main(self.ARGV + extra)
             runs.append((rc, *capsys.readouterr()))
-            assert multiprocessing.active_children() == []
-        assert pools == [2, 2]  # a pool for each two-CPU run, and only them
+            assert_no_children()
+        assert len(forks) == 2 + 2  # two workers for each two-CPU run
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][0] == (1 if extra else 0)
         if extra:
@@ -433,29 +430,34 @@ class TestVerifyWorkers:
 
     def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
             self, cpus, monkeypatch, capsys):
-        pools = cpus(2)
+        forks = cpus(2)
         monkeypatch.setattr(fdbf.cli, "grid_search", _raise_in_worker)
         with pytest.raises(ValueError, match="raised in process") as exc:
             main(self.ARGV)
-        assert pools == [2]
+        assert len(forks) == 2
         assert str(exc.value) != f"raised in process {os.getpid()}"
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_runs_serially_without_the_blas_cap(self, cpus, monkeypatch, capsys):
-        pools = cpus(2)
-        monkeypatch.setattr(fdbf.cli, "_blas", "default")
+        forks = cpus(2)
+        monkeypatch.setattr(fdbf.procs, "blas", "default")
         assert main(self.ARGV) == 0
-        assert pools == []
+        assert forks == []
 
     def test_worker_count(self, cpus, monkeypatch):
         cpus(2)
-        assert fdbf.cli._verify_workers(10) == 2
-        assert fdbf.cli._verify_workers(1) == 1  # at most one per instance
+        assert fdbf.procs.worker_count(10) == 2
+        assert fdbf.procs.worker_count(1) == 1  # at most one per task
+        assert settings_for(["sweep"]).workers == 2
+        assert settings_for(["verify", "--instances", "1"]).workers == 1
+        assert settings_for(["verify"]).workers == 2
+        assert settings_for(["bench"]).workers == 1  # bench times one process
         cpus(1)  # the affinity mask, as `taskset -c 0` sets it
-        assert fdbf.cli._verify_workers(10) == 1
+        assert fdbf.procs.worker_count(10) == 1
+        assert settings_for(["sweep"]).workers == 1
         cpus(2)
-        monkeypatch.setattr(fdbf.cli.threading, "active_count", lambda: 2)
-        assert fdbf.cli._verify_workers(10) == 1  # fork would copy held locks
+        monkeypatch.setattr(fdbf.procs.threading, "active_count", lambda: 2)
+        assert fdbf.procs.worker_count(10) == 1  # fork would copy held locks
 
     def test_samples_bound_counts_every_worker(self, cpus, monkeypatch, capsys):
         # 10**6 samples at n_t = 2 need 32 MB per process: 48 MB holds one
@@ -467,6 +469,57 @@ class TestVerifyWorkers:
         cpus(2)
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: samples = 1000000 needs")
+
+
+class TestSweepWorkers:
+    # passes of 1024 words: 16 trials a chunk at n_t = 10, 10 at n_t = 16
+    AXES = {"n_t sweep": ["--nt", "2..10", "--rho-db", "-10..20"],
+            "c sweep": ["--nt", "16", "--c-db", "-130..-90:10",
+                        "--rho-db", "0,10"]}
+
+    @pytest.fixture(autouse=True)
+    def small_passes(self, monkeypatch):
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 1024)
+
+    def run(self, axes, out_dir):
+        argv = ["sweep", *self.AXES[axes], "--trials", "200", "--seed", "3"]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        assert_no_children()
+        return [(out_dir / name).read_bytes() for name in ("tg.csv", "ps.csv")]
+
+    @pytest.mark.parametrize("axes", AXES)
+    def test_workers_write_the_serial_bytes(self, cpus, tmp_path, axes):
+        runs = []
+        for n in (2, 1):
+            forks = cpus(n)
+            runs.append(self.run(axes, tmp_path / str(n)))
+            manifest = (tmp_path / str(n) / "manifest.txt").read_text()
+            assert f"\n# workers = {n}\n" in manifest
+            assert len(forks) == 2 + 2  # the two-CPU run draws, then aggregates
+        assert runs[0] == runs[1]
+        # the manifest replays, whatever the worker count
+        assert main(["sweep", "--config", str(tmp_path / "2" / "manifest.txt"),
+                     "--out-dir", str(tmp_path / "replay")]) == 0
+        assert runs[0][0] == (tmp_path / "replay" / "tg.csv").read_bytes()
+
+    def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
+            self, cpus, monkeypatch, tmp_path):
+        forks = cpus(2)
+        monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
+                            _raise_in_worker)
+        with pytest.raises(ValueError, match="raised in process") as exc:
+            self.run("c sweep", tmp_path)
+        assert len(forks) == 2
+        assert str(exc.value) != f"raised in process {os.getpid()}"
+        assert_no_children()
+
+    def test_runs_serially_without_the_blas_cap(self, cpus, monkeypatch,
+                                                tmp_path):
+        forks = cpus(2)
+        monkeypatch.setattr(fdbf.procs, "blas", "default")
+        self.run("n_t sweep", tmp_path)
+        assert forks == []
+        assert "\n# workers = 1\n" in (tmp_path / "manifest.txt").read_text()
 
 
 class TestBenchCommand:
@@ -484,6 +537,8 @@ class TestBenchCommand:
             assert float(grid[2]) > float(closed[2])
         manifest = parse_config(tmp_path / "manifest.txt")
         assert manifest["grid_points"] == "201"
+        # bench times one process, whatever CPUs it may use
+        assert "# workers = 1" in (tmp_path / "manifest.txt").read_text()
 
 
 class TestTopLevel:
@@ -524,8 +579,8 @@ class TestHeapPolicy:
     def fresh_policy(self, monkeypatch):
         # the policy runs once per process; let each test run it again,
         # and keep the BLAS policy away from the faked C library
-        monkeypatch.setattr(fdbf.cli, "_heap", None)
-        monkeypatch.setattr(fdbf.cli, "_blas", "default")
+        monkeypatch.setattr(fdbf.procs, "heap", None)
+        monkeypatch.setattr(fdbf.procs, "blas", "default")
 
     @staticmethod
     def fake_libc(monkeypatch, result=1):
@@ -545,13 +600,13 @@ class TestHeapPolicy:
         assert main(["sweep", "--trials", "0"]) == 2
         # M_MMAP_THRESHOLD to 32 MiB, then M_TRIM_THRESHOLD to 1 GiB
         assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
-        assert fdbf.cli._heap == "kept"
+        assert fdbf.procs.heap == "kept"
 
     def test_a_rejected_value_leaves_the_default_heap(self, monkeypatch):
         calls = self.fake_libc(monkeypatch, result=0)
-        fdbf.cli._keep_freed_memory()
+        fdbf.procs.keep_freed_memory()
         assert calls == [(-3, 32 << 20)]
-        assert fdbf.cli._heap == "default"
+        assert fdbf.procs.heap == "default"
 
     @pytest.mark.parametrize("libc", [None, SimpleNamespace()],
                              ids=["no C library", "no mallopt"])
@@ -563,12 +618,12 @@ class TestHeapPolicy:
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert main(["sweep", "--trials", "0"]) == 2
-        assert fdbf.cli._heap == "default"
+        assert fdbf.procs.heap == "default"
 
     def test_kept_heap_stops_refaulting_the_oracles(self):
         resource = pytest.importorskip("resource")
-        fdbf.cli._keep_freed_memory()
-        if fdbf.cli._heap != "kept":
+        fdbf.procs.keep_freed_memory()
+        if fdbf.procs.heap != "kept":
             pytest.skip("the C library has no mallopt")
         r = draw_realization(SystemConfig(n_t=2), RngState(7, 0))
 
@@ -587,7 +642,7 @@ class TestHeapPolicy:
 class TestBlasPolicy:
     @pytest.fixture(autouse=True)
     def fresh_policy(self, monkeypatch):
-        monkeypatch.setattr(fdbf.cli, "_blas", None)
+        monkeypatch.setattr(fdbf.procs, "blas", None)
 
     @staticmethod
     def fake_libraries(monkeypatch, libraries, threads_after=1):
@@ -603,7 +658,7 @@ class TestBlasPolicy:
                 name: setter(name) if "_set_" in name else lambda: threads_after
                 for name in libraries[path]})
 
-        monkeypatch.setattr(fdbf.cli, "_loaded_libraries", lambda: list(libraries))
+        monkeypatch.setattr(fdbf.procs, "loaded_libraries", lambda: list(libraries))
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         return calls
 
@@ -613,10 +668,10 @@ class TestBlasPolicy:
             "/lib/libc.so.6": ["openblas_set_num_threads"],
             numpy_blas: ["scipy_openblas_set_num_threads64_",
                          "scipy_openblas_get_num_threads64_"]})
-        fdbf.cli._hold_blas_to_one_thread()
-        fdbf.cli._hold_blas_to_one_thread()  # once per process
+        fdbf.procs.hold_blas_to_one_thread()
+        fdbf.procs.hold_blas_to_one_thread()  # once per process
         assert calls == [(numpy_blas, "scipy_openblas_set_num_threads64_", 1)]
-        assert fdbf.cli._blas == "one thread"
+        assert fdbf.procs.blas == "one thread"
 
     @pytest.mark.parametrize("libraries, threads_after", [
         ({"/lib/libopenblas.so.0": ["openblas_set_num_threads",
@@ -627,18 +682,18 @@ class TestBlasPolicy:
     def test_anything_else_keeps_the_default(self, monkeypatch, libraries,
                                              threads_after):
         self.fake_libraries(monkeypatch, libraries, threads_after)
-        fdbf.cli._hold_blas_to_one_thread()
-        assert fdbf.cli._blas == "default"
+        fdbf.procs.hold_blas_to_one_thread()
+        assert fdbf.procs.blas == "default"
 
     def test_no_library_list_keeps_the_default(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
-        fdbf.cli._hold_blas_to_one_thread()
-        assert fdbf.cli._blas == "default"
+        fdbf.procs.hold_blas_to_one_thread()
+        assert fdbf.procs.blas == "default"
 
     def test_finds_the_openblas_numpy_loaded(self):
         blas = getattr(np, "__config__", None)
         blas = getattr(blas, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
         if "openblas" not in blas.get("name", ""):
             pytest.skip("numpy was not built with OpenBLAS")
-        fdbf.cli._hold_blas_to_one_thread()
-        assert fdbf.cli._blas == "one thread"
+        fdbf.procs.hold_blas_to_one_thread()
+        assert fdbf.procs.blas == "one thread"

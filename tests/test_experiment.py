@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 from fdbf.beamform import optimal, zf
 from fdbf.channel import SystemConfig, draw_realization, si_threshold
 import fdbf.experiment
+import fdbf.procs
 from fdbf.numerics import _LONG_STREAM, RngState
 from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult,
                              _exact_sum, _mean_ci, _pow_squares, draw_batch,
-                             draw_realizations, run_sweep, run_trial,
-                             uplink_sinr)
+                             draw_realizations, run_sweep, run_trial)
 
-from conftest import canonical_realization
+from conftest import assert_no_children, count_forks
 
 CANONICAL_TG = 0.4496602867867916  # log2(1.8)/log2(1.5) - 1
 
@@ -450,11 +451,19 @@ class TestRunSweep:
                 np.testing.assert_array_equal(
                     np.concatenate([a for _, a in parts]), a_ref)
 
-    def test_channels_are_not_kept_across_chunks(self):
+    def test_channels_are_not_kept_across_chunks(self, monkeypatch):
         # all of h_d and a at n_t = 64 would take 2 * 4000 * 64 * 16 bytes
         cfg = SystemConfig(n_t=64, trials=4000, seed=1)
         axes = SweepAxes((64,), (0.0,), tuple(range(-130, -79, 5)))
         run_sweep(cfg.replace(trials=10), axes)  # first-call allocations
+        shared = []
+        real_shared_empty = fdbf.procs.shared_empty
+
+        def keeping_shared_empty(*args):
+            shared.append(real_shared_empty(*args))
+            return shared[-1]
+
+        monkeypatch.setattr(fdbf.procs, "shared_empty", keeping_shared_empty)
         tracemalloc.start()
         try:
             run_sweep(cfg, axes)
@@ -463,6 +472,10 @@ class TestRunSweep:
             tracemalloc.stop()
         assert len(axes.c_db) == 11
         assert peak < 2 * cfg.trials * cfg.n_t * 16
+        # the kept gains are in shared memory, which tracemalloc does not
+        # see: one float64 per cap, gain_zf and a flag per trial, the bytes
+        # cli.Settings bounds --trials by
+        assert sum(a.nbytes for a in shared) == cfg.trials * (8 * 11 + 9)
 
     def test_deterministic_across_runs(self):
         cfg = SystemConfig(trials=100, seed=9)
@@ -481,28 +494,32 @@ class TestRunSweep:
         assert 5.0 <= ratio <= 20.0  # expect ~sqrt(100) = 10
         assert abs(wide.ps_mean - tight.ps_mean) <= wide.ps_ci + tight.ps_ci
 
+    @pytest.mark.parametrize("n_ts, c_db", [
+        ((2, 6, 4), (-110.0,)), ((6,), (-130.0, -110.0, -90.0))],
+        ids=["n_t sweep", "c sweep"])
+    def test_workers_give_the_serial_bits(self, monkeypatch, n_ts, c_db):
+        # n_t = 6 takes 40 words a trial: 6 chunks of at most 9 trials
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 9 * 40)
+        cfg = SystemConfig(trials=50, seed=11)
+        axes = SweepAxes(n_ts, (-10.0, 10.0), c_db)
+        serial = _bits(run_sweep(cfg, axes).points)
+        forks = count_forks(monkeypatch)
+        for workers in (2, 3):
+            assert _bits(run_sweep(cfg, axes, workers).points) == serial
+            assert_no_children()
+        # one child per worker to draw and solve, and again to aggregate
+        assert len(forks) == 2 * (2 + 3)
 
-class TestUplinkSinr:
-    def test_nulled_beamformer_reaches_noise_limit(self, canonical):
-        z = zf(canonical.h_d, canonical.effective_si_vector())
-        sinr = uplink_sinr(canonical, z.w, p_u=2.0, p_d=1.0, sigma2=0.5)
-        assert sinr == 4.0  # p_u |v^H h_u|^2 / (sigma2 ||v||^2), SI exactly zero
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        def failing_solve(h_d, a, eps):
+            raise ValueError(f"raised in process {os.getpid()}")
 
-    def test_residual_si_halves_the_matched_case(self, canonical):
-        sol = optimal(canonical.h_d, canonical.H, canonical.v, canonical.epsilon)
-        # p_d * si equals sigma2, so the denominator exactly doubles
-        sinr = uplink_sinr(canonical, sol.w, p_u=1.0, p_d=1.0, sigma2=0.1)
-        assert sinr == pytest.approx(5.0, rel=1e-9)
-
-    def test_zero_uplink_power(self, canonical):
-        z = zf(canonical.h_d, canonical.effective_si_vector())
-        assert uplink_sinr(canonical, z.w, p_u=0.0, p_d=1.0, sigma2=1.0) == 0.0
-
-    def test_zero_denominator_rejected(self, canonical):
-        z = zf(canonical.h_d, canonical.effective_si_vector())
-        with pytest.raises(ValueError):
-            uplink_sinr(canonical, z.w, p_u=1.0, p_d=1.0, sigma2=0.0)
-
-    def test_negative_power_rejected(self, canonical):
-        with pytest.raises(ValueError):
-            uplink_sinr(canonical, canonical.h_d, p_u=-1.0, p_d=1.0, sigma2=1.0)
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS", 9 * 40)
+        monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch",
+                            failing_solve)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="raised in process") as exc:
+            run_sweep(SystemConfig(n_t=6, trials=50, seed=1), workers=2)
+        assert len(forks) == 2
+        assert str(exc.value) != f"raised in process {os.getpid()}"
+        assert_no_children()
