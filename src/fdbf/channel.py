@@ -25,10 +25,14 @@ from .numerics import RngState, as_cvector, matvec_adj, sample_complex_gaussian
 
 
 def db_to_linear(x_db):
-    """Power ratio for a dB value; -inf maps to 0.0 and +inf to inf."""
+    """Power ratio for a dB value; -inf maps to 0.0, and +inf or any value
+    whose ratio overflows a float to inf."""
     if math.isnan(x_db):
         raise ValueError("dB value must not be NaN")
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,13 @@ class SystemConfig:
                 raise ValueError(f"{name} must be finite")
         if math.isnan(self.k_factor_db):
             raise ValueError("k_factor_db must not be NaN")
+        if math.isinf(db_to_linear(self.rho_db)):
+            raise ValueError(f"rho_db = {self.rho_db!r} overflows a linear SNR")
+        if not all(map(math.isfinite, ricean_params(self.k_factor_db,
+                                                    self.omega_db))):
+            raise ValueError(f"k_factor_db = {self.k_factor_db!r} and omega_db "
+                             f"= {self.omega_db!r} give an SI channel whose "
+                             f"Ricean mean or std is not finite")
 
     def replace(self, **changes):
         """Copy with the given fields replaced."""
@@ -87,15 +98,14 @@ def ricean_params(k_factor_db, omega_db):
     """Per-entry (mean, std) of a Ricean channel with total power omega.
 
     K is the line-of-sight to scattered power ratio: mean^2 = omega * K/(K+1)
-    and std^2 = omega / (K+1). K = +inf collapses onto the deterministic mean,
-    K = -inf dB (K = 0) is pure Rayleigh.
+    and std^2 = omega / (K+1). K = inf (any K-factor in dB whose ratio
+    overflows) collapses onto the deterministic mean, K = 0 (-inf dB) is
+    pure Rayleigh.
     """
     omega = db_to_linear(omega_db)
-    if math.isinf(k_factor_db):
-        if k_factor_db > 0:
-            return math.sqrt(omega), 0.0
-        return 0.0, math.sqrt(omega)
     k = db_to_linear(k_factor_db)
+    if math.isinf(k):
+        return math.sqrt(omega), 0.0
     mean = math.sqrt(omega * k / (k + 1.0))
     std = math.sqrt(omega / (k + 1.0))
     return mean, std

@@ -6,15 +6,20 @@
   fdbf bench   closed-form vs grid-search timing; writes bench.csv plus a
                manifest.
 
+FLAGS states each flag once and COMMANDS the flags each subcommand reads;
+the parser, config keys, bounds and manifest keys come from them. A flag
+its command does not read is a usage error, and so is a second value of an
+axis it reads once.
+
 sweep and verify run on one process per usable CPU (the affinity mask, so
 `taskset -c 0` runs serially) through procs.fork_map; their output does not
 depend on that number. bench runs in one process.
 
-Axis flags accept a scalar, a comma list, or a range lo..hi[:step] (step
-defaults: 2 for --nt, 10 for --rho-db and --c-db). A config file of flat
-`key = value` lines (keys are the flag names with underscores) supplies
-defaults; explicit flags override it. Every output file is written next to
-a manifest.txt that is itself a valid config file, so
+Axis flags accept a scalar, a comma list, or a range lo..hi[:step]. A config
+file of flat `key = value` lines (keys are the flag names with underscores)
+supplies defaults; explicit flags override it, and a command ignores keys
+it does not read. Every output file is written next to a manifest.txt, a
+config file of every flag its command reads, so
 
   fdbf sweep --config <out>/manifest.txt --out-dir <elsewhere>
 
@@ -33,13 +38,13 @@ import re
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, kernels, procs
+from . import __version__, procs
 from .beamform import dl_rate, family, optimal, DegenerateParallelError
 from .channel import SystemConfig, db_to_linear, si_threshold
 from .experiment import SweepAxes, draw_realizations, run_sweep
@@ -52,6 +57,10 @@ _ORACLE_STREAM_BASE = 1_000_000
 
 # largest count flag: the largest array dimension numpy can represent
 _MAX_COUNT = 2 ** 63 - 1
+# largest grid: past 2**53 + 1 points the grid g/(grid_points - 1) repeats
+# float64 alphas, so a finer grid certifies nothing more
+_MAX_GRID = 2 ** 53 + 1
+_BOUND_TEXT = {_MAX_COUNT: "2**63 - 1", _MAX_GRID: "2**53 + 1"}
 
 # Python objects around one stored realization's arrays, in bytes (about
 # 0.7-1.1 KiB measured with tracemalloc)
@@ -108,15 +117,11 @@ def parse_axis(text, name, default_step, integer=False):
         values = [_number(t, name) for t in text.split(",")]
     else:
         values = [_number(text, name)]
-    if not values:
-        raise UsageError(f"{name}: empty axis")
     if integer:
-        out = []
         for v in values:
             if not math.isfinite(v) or v != int(v):
                 raise UsageError(f"{name}: expected integers, got {v}")
-            out.append(int(v))
-        return out
+        return [int(v) for v in values]
     return values
 
 
@@ -133,12 +138,76 @@ def _parse_int(text, name):
     return int(d)
 
 
-# every key a config file may carry, across all subcommands
-_CONFIG_KEYS = {
-    "nt", "nr", "rho_db", "c_db", "k_db", "omega_db", "pd_dbm", "rn_dbm",
-    "trials", "seed", "grid_points", "threads", "repeats", "instances",
-    "samples", "perturb_alpha",
+class Flag(NamedTuple):
+    """One flag: how its text parses, its default and its help."""
+
+    parse: str                # "axis", "count", "number", "seed" or "path"
+    default: object
+    help: str
+    step: int = 0             # axis: the step a lo..hi range defaults to
+    least: int = 1            # count: the smallest value accepted
+    most: Optional[int] = _MAX_COUNT  # count: the largest, None for no bound
+
+
+_AXIS_HELP = "scalar, list, or lo..hi[:step] (step {step})"
+FLAGS = {
+    "nt": Flag("axis", [2], "transmit antennas: " + _AXIS_HELP, step=2),
+    "nr": Flag("count", 2, "receive antennas"),
+    "rho_db": Flag("axis", [0.0], "downlink SNR in dB: " + _AXIS_HELP, step=10),
+    "c_db": Flag("axis", [-110.0], "SI cancellation in dB: " + _AXIS_HELP, step=10),
+    "k_db": Flag("number", 10.0, "Ricean K-factor in dB"),
+    "omega_db": Flag("number", -30.0, "SI channel mean power in dB"),
+    "pd_dbm": Flag("number", 30.0, "transmit power in dBm"),
+    "rn_dbm": Flag("number", -116.4, "noise floor in dBm"),
+    "trials": Flag("count", 10000, "Monte Carlo trials per grid point"),
+    "seed": Flag("seed", 0, "RNG seed (fallback: FDBF_SEED, then 0)"),
+    "grid_points": Flag("count", None, "oracle alpha grid points", least=2, most=_MAX_GRID),
+    "instances": Flag("count", 100, "realizations to certify"),
+    "samples": Flag("count", 10000, "random candidates per realization"),
+    "perturb_alpha": Flag("number", 0.0, "negative control: offset added to alpha*"),
+    "repeats": Flag("count", 200, "realizations timed per size"),
+    "threads": Flag("count", 1, "ignored; kept for old manifests", most=None),
+    "out_dir": Flag("path", Path("."), "output directory"),
 }
+
+# config and manifest keys: every flag but the output directory
+_RECORDED = frozenset(key for key, flag in FLAGS.items() if flag.parse != "path")
+
+
+def _option(key):
+    return "--" + key.replace("_", "-")
+
+
+def _parse(key, text):
+    """The value of flag `key` from its text, checked against its bounds."""
+    flag = FLAGS[key]
+    name = _option(key)
+    if flag.parse == "axis":  # integers only where the default holds them
+        return parse_axis(text, name, flag.step, isinstance(flag.default[0], int))
+    if flag.parse == "number":
+        return _number(text, name)
+    if flag.parse == "path":
+        return Path(text)
+    value = _parse_int(text, name)
+    if flag.parse == "seed":
+        if not 0 <= value < 2 ** 64:
+            raise UsageError(f"seed must lie in [0, 2**64), got {value}")
+    elif value < flag.least:
+        raise UsageError(f"{key} must be >= {flag.least}")
+    elif flag.most is not None and value > flag.most:
+        raise UsageError(f"{key} must be <= {_BOUND_TEXT[flag.most]}")
+    return value
+
+
+class Command(NamedTuple):
+    """One subcommand: what it runs and exactly the flags it reads."""
+
+    run: Callable             # Settings -> exit code
+    help: str
+    flags: tuple              # the flags it reads, in manifest order
+    once: tuple = ()          # the axes it reads one value of
+    defaults: dict = {}       # its own defaults, over the flag table's
+    tasks: Optional[str] = None  # the count its workers share; None: one process
 
 
 def parse_config(path):
@@ -156,100 +225,59 @@ def parse_config(path):
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected `key = value`")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _RECORDED:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         settings[key] = value.strip()
     return settings
 
 
 class Settings:
-    """Flag/config/default resolution for one invocation."""
+    """Every flag's value: flag > config > FDBF_SEED (seed) > default for the
+    flags the command reads, the table's default for the rest."""
 
     def __init__(self, ns):
+        self.command = ns.command
+        command = COMMANDS[ns.command]
         conf = parse_config(ns.config) if ns.config else {}
-
-        def raw(key):
-            flag = getattr(ns, key, None)
-            return flag if flag is not None else conf.get(key)
-
-        def axis(key, name, step, integer, default):
-            text = raw(key)
-            return parse_axis(text, name, step, integer) if text is not None else default
-
-        def scalar(key, name, default, integer=False):
-            text = raw(key)
-            if text is None:
-                return default
-            return _parse_int(text, name) if integer else _number(text, name)
-
-        self.nt = axis("nt", "--nt", 2, True, [2])
-        self.rho_db = axis("rho_db", "--rho-db", 10, False, [0.0])
-        self.c_db = axis("c_db", "--c-db", 10, False, [-110.0])
-        self.nr = scalar("nr", "--nr", 2, integer=True)
-        self.k_db = scalar("k_db", "--k-db", 10.0)
-        self.omega_db = scalar("omega_db", "--omega-db", -30.0)
-        self.pd_dbm = scalar("pd_dbm", "--pd-dbm", 30.0)
-        self.rn_dbm = scalar("rn_dbm", "--rn-dbm", -116.4)
-        self.trials = scalar("trials", "--trials", 10000, integer=True)
-        self.threads = scalar("threads", "--threads", 1, integer=True)
-        self.grid_points = scalar("grid_points", "--grid-points",
-                                  getattr(ns, "default_grid_points", 100000),
-                                  integer=True)
-        self.repeats = scalar("repeats", "--repeats", 200, integer=True)
-        self.instances = scalar("instances", "--instances", 100, integer=True)
-        self.samples = scalar("samples", "--samples", 10000, integer=True)
-        self.perturb_alpha = scalar("perturb_alpha", "--perturb-alpha", 0.0)
-
-        seed_text = raw("seed")
-        if seed_text is None:
-            seed_text = os.environ.get("FDBF_SEED")
-        self.seed = _parse_int(seed_text, "seed") if seed_text is not None else 0
-
-        self.out_dir = Path(getattr(ns, "out_dir", None) or ".")
-        for field in ("nr", "trials", "threads", "repeats", "instances", "samples"):
-            if getattr(self, field) < 1:
-                raise UsageError(f"{field} must be >= 1")
-        if self.grid_points < 2:
-            raise UsageError("grid_points must be >= 2")
-        for field in ("trials", "repeats", "instances", "samples", "grid_points"):
-            if getattr(self, field) > _MAX_COUNT:
-                raise UsageError(f"{field} must be <= 2**63 - 1")
-        # past 2**53 + 1 points the grid g/(grid_points - 1) repeats float64
-        # alphas, so a finer grid certifies nothing more
-        if self.grid_points > 2 ** 53 + 1:
-            raise UsageError("grid_points must be <= 2**53 + 1")
-        # processes the command runs on: a sweep splits its chunks and
-        # columns, verify its instances; bench times one process
-        tasks = {"sweep": self.trials, "verify": self.instances}
-        self.workers = procs.worker_count(tasks.get(ns.command, 1))
-        # what each count sizes: the gains a sweep keeps (one float64 per
-        # cap, gain_zf and a flag, per trial and n_t; channels are drawn in
-        # chunks and dropped), the sampling oracle's candidates, which each
-        # verify worker holds at once, the realizations bench times and
-        # verify certifies
+        for key, flag in FLAGS.items():
+            text = getattr(ns, key, None)  # ns holds the command's flags only
+            if text is None and key in command.flags:
+                text = conf.get(key, os.environ.get("FDBF_SEED")
+                                if key == "seed" else None)
+            value = (command.defaults.get(key, flag.default) if text is None
+                     else _parse(key, text))
+            if key in command.once and len(value) > 1:
+                raise UsageError(f"{ns.command} reads one value of "
+                                 f"{_option(key)}, got {len(value)}")
+            setattr(self, key, value)
+        self.workers = procs.worker_count(
+            getattr(self, command.tasks) if command.tasks else 1)
+        # bytes each count sizes: the gains a sweep keeps (a float64 per cap,
+        # gain_zf and a flag per trial and n_t), each verify worker's sampling
+        # candidates, the realizations verify certifies and bench times, and
+        # one trial's stream of 2 (n_r + n_t + n_r n_t) words per sweep worker
         n_t, n_r = max(self.nt), self.nr
-        realization = (16 * (2 * n_r + n_t + n_r * n_t)
-                       + _REALIZATION_OVERHEAD)
-        sized = {"trials": len(set(self.nt)) * (8 * len(self.c_db) + 9),
-                 "samples": 16 * n_t * self.workers,
-                 "repeats": realization, "instances": realization}
+        realization = 16 * (2 * n_r + n_t + n_r * n_t) + _REALIZATION_OVERHEAD
+        needs = {"trials": self.trials * len(set(self.nt)) * (8 * len(self.c_db) + 9),
+                 "samples": self.samples * 16 * n_t * self.workers,
+                 "repeats": self.repeats * realization,
+                 "instances": self.instances * realization,
+                 "nr": self.workers * 16 * (n_r + n_t + n_r * n_t)}
         memory = _physical_bytes()
-        for field, item_bytes in sized.items():
-            count = getattr(self, field)
-            if count * item_bytes > memory:
-                raise UsageError(f"{field} = {count} needs about "
-                                 f"{count * item_bytes} bytes, more than the "
-                                 f"{memory} bytes of physical memory")
-        if not 0 <= self.seed < 2 ** 64:
-            raise UsageError(f"seed must lie in [0, 2**64), got {self.seed}")
+        for key, size in needs.items():
+            if key in command.flags and size > memory:
+                raise UsageError(f"{key} = {getattr(self, key)} needs about "
+                                 f"{size} bytes, more than the {memory} bytes "
+                                 f"of physical memory")
         # every model point the run will build, so a bad value is a usage
         # error here and never an uncaught ValueError mid-run
-        for n_t, c_db, rho_db in itertools.product(self.nt, self.c_db, self.rho_db):
-            try:
-                si_threshold(self.base_config().replace(
-                    n_t=n_t, c_db=c_db, rho_db=rho_db))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+        try:
+            base = self.base_config()
+            for n_t, c_db, rho_db in itertools.product(self.nt, self.c_db,
+                                                       self.rho_db):
+                si_threshold(base.replace(n_t=n_t, c_db=c_db, rho_db=rho_db))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def base_config(self):
         return SystemConfig(n_t=self.nt[0], n_r=self.nr, p_d_dbm=self.pd_dbm,
@@ -281,12 +309,11 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_manifest(out_dir, command, settings, keys, outputs):
+def _write_manifest(settings, outputs):
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     lines = ["# fdbf manifest (a valid config file: rerun with --config)",
              f"# version = {__version__}",
-             f"# command = {command}",
-             f"# backend = {kernels.BACKEND}",
+             f"# command = {settings.command}",
              f"# python = {platform.python_version()}",
              f"# numpy = {np.__version__}",
              f"# heap = {procs.heap or 'default'}",
@@ -294,10 +321,9 @@ def _write_manifest(out_dir, command, settings, keys, outputs):
              f"# workers = {settings.workers}",
              f"# created_utc = {stamp}"]
     lines += [f"# output = {name}" for name in outputs]
-    lines += [f"{key} = {_config_value(getattr(settings, key))}" for key in keys]
-    path = out_dir / "manifest.txt"
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+    lines += [f"{key} = {_config_value(getattr(settings, key))}"
+              for key in COMMANDS[settings.command].flags if key in _RECORDED]
+    _write_text(settings.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -314,27 +340,20 @@ def cmd_sweep(settings):
                      tuple(settings.c_db))
     result = run_sweep(settings.base_config(), axes, settings.workers)
     c_axis_swept = len(settings.c_db) > 1
-    tg_rows = []
-    ps_rows = []
-    for pt in result.points:
-        axis1 = pt.c_db if c_axis_swept else pt.n_t
-        tg_rows.append((axis1, pt.rho_db, pt.tg_mean, pt.tg_ci,
-                        result.trials, result.seed))
-        ps_rows.append((axis1, pt.rho_db, pt.ps_mean, pt.ps_ci,
-                        result.trials, result.seed))
     out = settings.out_dir
     out.mkdir(parents=True, exist_ok=True)
     header = ("axis1", "axis2", "metric", "ci_halfwidth", "trials", "seed")
-    _write_csv(out / "tg.csv", header, tg_rows)
-    _write_csv(out / "ps.csv", header, ps_rows)
-    keys = ("nt", "nr", "rho_db", "c_db", "k_db", "omega_db", "pd_dbm",
-            "rn_dbm", "trials", "seed", "threads")
-    _write_manifest(out, "sweep", settings, keys, ("tg.csv", "ps.csv"))
+    for name, metric in (("tg.csv", lambda pt: (pt.tg_mean, pt.tg_ci)),
+                         ("ps.csv", lambda pt: (pt.ps_mean, pt.ps_ci))):
+        _write_csv(out / name, header, [
+            (pt.c_db if c_axis_swept else pt.n_t, pt.rho_db, *metric(pt),
+             result.trials, result.seed) for pt in result.points])
+    _write_manifest(settings, ("tg.csv", "ps.csv"))
     excluded = sum(pt.n_excluded for pt in result.points)
     note = "" if excluded == 0 else f", {excluded} degenerate trials excluded"
     print(f"sweep: wrote {out / 'tg.csv'} and {out / 'ps.csv'} "
           f"({len(result.points)} grid points, {result.trials} trials, "
-          f"seed {result.seed}, backend {kernels.BACKEND}{note})")
+          f"seed {result.seed}{note})")
     return 0
 
 
@@ -351,12 +370,9 @@ def cmd_bench(settings):
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "bench.csv",
                ("n_t", "method", "ns_per_solve_median", "speedup"), rows)
-    keys = ("nt", "nr", "k_db", "omega_db", "pd_dbm", "rn_dbm", "seed",
-            "grid_points", "repeats")
-    _write_manifest(out, "bench", settings, keys, ("bench.csv",))
+    _write_manifest(settings, ("bench.csv",))
     print(f"bench: wrote {out / 'bench.csv'} ({len(settings.nt)} sizes, "
-          f"{settings.repeats} solves each, grid {settings.grid_points} points, "
-          f"backend {kernels.BACKEND})")
+          f"{settings.repeats} solves each, grid {settings.grid_points} points)")
     return 0
 
 
@@ -458,60 +474,42 @@ def cmd_verify(settings):
     return 0
 
 
+COMMANDS = {
+    "sweep": Command(cmd_sweep, "Monte Carlo sweep writing tg.csv / ps.csv", (
+        "nt", "nr", "rho_db", "c_db", "k_db", "omega_db", "pd_dbm", "rn_dbm",
+        "trials", "seed", "threads", "out_dir"), tasks="trials"),
+    "verify": Command(cmd_verify, "brute-force certification of the closed form", (
+        "nt", "nr", "rho_db", "c_db", "k_db", "omega_db", "pd_dbm", "rn_dbm",
+        "seed", "grid_points", "instances", "samples", "perturb_alpha"),
+        once=("nt", "rho_db", "c_db"), defaults={"grid_points": 10000}, tasks="instances"),
+    "bench": Command(cmd_bench, "closed form vs grid search timing", (
+        "nt", "nr", "c_db", "k_db", "omega_db", "pd_dbm", "rn_dbm", "seed",
+        "grid_points", "repeats", "out_dir"), once=("c_db",), defaults={"grid_points": 1000}),
+}
+
+
+@cache  # built once per process: adding the arguments is its slow part
 def build_parser():
     parser = _Parser(prog="fdbf",
                      description="Self-interference-constrained transmit "
                                  "beamforming: sweeps, certification, timing.")
     parser.add_argument("--version", action="version",
                         version=f"fdbf {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--nt", help="transmit antennas: scalar, list, or lo..hi[:step] (step 2)")
-    common.add_argument("--nr", help="receive antennas (scalar)")
-    common.add_argument("--rho-db", dest="rho_db",
-                        help="downlink SNR axis in dB (step 10)")
-    common.add_argument("--c-db", dest="c_db",
-                        help="SI cancellation axis in dB (step 10)")
-    common.add_argument("--k-db", dest="k_db", help="Ricean K-factor in dB")
-    common.add_argument("--omega-db", dest="omega_db",
-                        help="SI channel mean power in dB")
-    common.add_argument("--pd-dbm", dest="pd_dbm", help="transmit power in dBm")
-    common.add_argument("--rn-dbm", dest="rn_dbm", help="noise floor in dBm")
-    common.add_argument("--trials", help="Monte Carlo trials per grid point")
-    common.add_argument("--seed", help="RNG seed (fallback: FDBF_SEED, then 0)")
-    common.add_argument("--grid-points", dest="grid_points",
-                        help="alpha grid resolution for oracle searches")
-    common.add_argument("--threads", help="accepted for old manifests; "
-                        "ignored (sweep and verify use every CPU they may "
-                        "run on)")
-    common.add_argument("--out-dir", dest="out_dir", help="output directory")
-    common.add_argument("--config", help="flat key = value config file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="Monte Carlo sweep writing tg.csv / ps.csv")
-    p_sweep.set_defaults(func=cmd_sweep, default_grid_points=100000)
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="brute-force certification of the closed form")
-    p_verify.add_argument("--instances", help="realizations to certify")
-    p_verify.add_argument("--samples", help="random candidates per realization")
-    p_verify.add_argument("--perturb-alpha", dest="perturb_alpha",
-                          help="negative control: offset added to alpha*")
-    p_verify.set_defaults(func=cmd_verify, default_grid_points=10000)
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="closed form vs grid search timing")
-    p_bench.add_argument("--repeats", help="realizations timed per size")
-    p_bench.set_defaults(func=cmd_bench, default_grid_points=1000)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.flags:
+            p.add_argument(_option(key), help=FLAGS[key].help.format(step=FLAGS[key].step))
+        p.add_argument("--config", help="flat key = value config file")
     return parser
 
 
 def main(argv=None):
     procs.keep_freed_memory()
     procs.hold_blas_to_one_thread()
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        settings = Settings(ns)
-        return ns.func(settings)
+        ns = build_parser().parse_args(argv)
+        return COMMANDS[ns.command].run(Settings(ns))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

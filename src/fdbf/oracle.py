@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .beamform import _leakage_split, _member, si_power
+from .beamform import _leakage_split, si_power
 from .numerics import RngState, box_muller, box_muller_uniforms, norm_sq
 
 # Grid feasibility slack. Has to admit exact boundary candidates whose
@@ -87,7 +87,6 @@ class OracleReport:
 
     best_alpha: Optional[float]
     best_rate: float
-    best_w: Optional[np.ndarray]
     samples_tested: int
     max_violation: float
     n_feasible: int
@@ -116,14 +115,13 @@ def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
     best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
         h_d, p, a, realization.epsilon, int(grid_points), float(tol))
     if best_idx < 0:
-        return OracleReport(best_alpha=None, best_rate=float("-inf"), best_w=None,
+        return OracleReport(best_alpha=None, best_rate=float("-inf"),
                             samples_tested=int(grid_points),
                             max_violation=max_violation, n_feasible=0,
                             degenerate=True)
     best_alpha = best_idx / (grid_points - 1)
     return OracleReport(best_alpha=best_alpha,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        best_w=_member(best_alpha, h_d, a, p).w,
                         samples_tested=int(grid_points),
                         max_violation=max_violation, n_feasible=int(n_feasible))
 
@@ -206,8 +204,8 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     candidate: _sampling_filter bounds every candidate's gain with float32
     trig, and only the few that can still win are rebuilt with the exact
     Box-Muller transform and scanned by kernels.sample_scan, whose rows do
-    not depend on each other. best_rate and best_w are therefore those of
-    the exhaustive scan, bit for bit. max_violation is the worst back-off
+    not depend on each other. best_rate is therefore that of the
+    exhaustive scan, bit for bit. max_violation is the worst back-off
     overshoot over all candidates, from the exact leakage of the rescanned
     ones and the filter's leakage of the rest. Both round the same formula
     eps / si * si - eps, so it stays within 2 ulp of eps either way.
@@ -226,12 +224,10 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     if rows is not None:
         U1, U2 = U1[rows], U2[rows]
     W = box_muller(U1, U2)
-    k, best_gain, best_scale, max_violation = kernels.sample_scan(h_d, a, eps, W)
-    row = W[k]
-    best_w = row * (best_scale / math.sqrt(norm_sq(row)))
+    _, best_gain, _, max_violation = kernels.sample_scan(h_d, a, eps, W)
     return OracleReport(best_alpha=None,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        best_w=best_w, samples_tested=samples,
+                        samples_tested=samples,
                         max_violation=max(max_violation, filtered_violation),
                         n_feasible=samples)
 

@@ -18,6 +18,10 @@ class TestDbToLinear:
         assert db_to_linear(float("-inf")) == 0.0
         assert db_to_linear(float("inf")) == math.inf
 
+    def test_overflow_is_inf_and_underflow_zero(self):
+        assert db_to_linear(4000.0) == math.inf
+        assert db_to_linear(-4000.0) == 0.0
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             db_to_linear(float("nan"))
@@ -56,6 +60,13 @@ class TestRiceanParams:
         assert std == 0.0
         assert mean ** 2 == pytest.approx(1e-3, rel=1e-12)
 
+    def test_overflowing_k_factor_is_line_of_sight(self):
+        for omega_db in (-30.0, 0.0):
+            assert ricean_params(4000.0, omega_db) == \
+                ricean_params(float("inf"), omega_db)
+            assert ricean_params(-4000.0, omega_db) == \
+                ricean_params(float("-inf"), omega_db)
+
     def test_pure_scatter(self):
         mean, std = ricean_params(float("-inf"), -30.0)
         assert mean == 0.0
@@ -87,7 +98,9 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("bad", [dict(n_t=0), dict(n_r=0), dict(trials=0),
                                      dict(rho_db=float("inf")),
-                                     dict(k_factor_db=float("nan"))])
+                                     dict(k_factor_db=float("nan")),
+                                     dict(rho_db=4000.0), dict(omega_db=4000.0),
+                                     dict(k_factor_db=-4000.0, omega_db=3090.0)])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             SystemConfig(**bad)

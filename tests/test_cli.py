@@ -29,6 +29,22 @@ def settings_for(argv):
     return Settings(build_parser().parse_args(argv))
 
 
+def refused_before_allocating(argv, capsys):
+    """Run argv, check it is a usage error raised before any array was
+    allocated, and return its stderr."""
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of memory" not in err
+    assert peak < 1 << 20
+    return err
+
+
 class TestParseAxis:
     def test_scalar(self):
         assert parse_axis("5", "x", 2) == [5.0]
@@ -96,7 +112,6 @@ class TestSettings:
         assert s.trials == 10000 and s.seed == 0 and s.threads == 1
 
     def test_grid_points_default_depends_on_subcommand(self):
-        assert settings_for(["sweep"]).grid_points == 100000
         assert settings_for(["verify"]).grid_points == 10000
         assert settings_for(["bench"]).grid_points == 1000
 
@@ -120,8 +135,9 @@ class TestSettings:
     def test_validation(self):
         with pytest.raises(UsageError):
             settings_for(["sweep", "--trials", "0"])
-        with pytest.raises(UsageError):
-            settings_for(["sweep", "--grid-points", "1"])
+        for command in ("verify", "bench"):
+            with pytest.raises(UsageError, match="grid_points must be >= 2"):
+                settings_for([command, "--grid-points", "1"])
         with pytest.raises(UsageError):
             settings_for(["sweep", "--nt", "0.5"])
 
@@ -151,7 +167,7 @@ class TestSettings:
     @pytest.mark.parametrize("command, flag", [
         ("sweep", "--trials"), ("verify", "--instances"),
         ("verify", "--samples"), ("bench", "--repeats"),
-        ("sweep", "--grid-points")])
+        ("verify", "--grid-points")])
     def test_count_bound(self, command, flag, monkeypatch):
         # memory large enough for any count: this tests the 2**63 - 1 limit,
         # and for the grid the 2**53 + 1 points past which alphas repeat
@@ -165,7 +181,7 @@ class TestSettings:
             settings_for([command, flag, str(top + 1)])
         if flag == "--grid-points":  # this once scanned without end
             with pytest.raises(UsageError, match=limit):
-                settings_for(["verify", flag, "1e18"])
+                settings_for(["bench", flag, "1e18"])
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--trials", "1e30"], ["verify", "--samples", "1e30"],
@@ -173,29 +189,53 @@ class TestSettings:
         ["verify", "--samples", "1e18", "--instances", "1"],
         ["bench", "--repeats", "1e18"]])
     def test_huge_counts_are_usage_errors(self, argv, tmp_path, capsys):
-        tracemalloc.start()
-        try:
-            rc = main(argv + ["--out-dir", str(tmp_path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "out of memory" not in err
-        assert peak < 1 << 20  # refused before any array is allocated
+        if "out_dir" in fdbf.cli.COMMANDS[argv[0]].flags:
+            argv = argv + ["--out-dir", str(tmp_path)]
+        err = refused_before_allocating(argv, capsys)
+        assert err.startswith(f"error: {argv[1][2:]} ")  # names its count
+
+    def test_huge_receive_array_is_refused_before_allocating(self, monkeypatch,
+                                                              tmp_path, capsys):
+        # one trial's stream at n_r = 10**8 is 4.8 GB, in each worker: more
+        # than 4 GiB even on one CPU
+        monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 1 << 32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        err = refused_before_allocating(
+            ["sweep", "--nr", "100000000", "--trials", "10",
+             "--out-dir", str(tmp_path)], capsys)
+        assert err.startswith("error: nr = 100000000 needs about 4800000032 bytes")
+        assert "repeats" not in err
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("flag, value", [
         ("--nt", "0"), ("--c-db", "nan"), ("--rho-db", "inf"),
         ("--k-db", "nan"), ("--pd-dbm", "1e308"), ("--nt", "2,0"),
-        ("--c-db", "-120,nan"),
+        ("--c-db", "-120,nan"), ("--c-db", "-4000"), ("--omega-db", "4000"),
+        ("--rho-db", "4000"),
     ])
     def test_invalid_model_values_are_usage_errors(self, command, flag, value,
                                                    tmp_path, capsys):
-        rc = main([command, flag, value, "--trials", "5",
-                   "--out-dir", str(tmp_path)])
+        small = {"sweep": ["--trials", "5", "--out-dir", str(tmp_path)],
+                 "verify": ["--instances", "5"]}[command]
+        rc = main([command, flag, value, *small])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if command == "verify" and "," in value:
+            # verify reads one model point: the second value is refused
+            assert err == f"error: verify reads one value of {flag}, got 2\n"
+        else:
+            assert "unrecognized arguments" not in err
+            assert "reads one value" not in err
+
+    def test_large_finite_k_factor_is_line_of_sight(self, tmp_path):
+        # a K-factor whose ratio overflows is K = inf: the same bytes
+        for k_db in ("4000", "inf"):
+            assert main(["sweep", "--k-db", k_db, "--trials", "50", "--seed", "3",
+                         "--out-dir", str(tmp_path / k_db)]) == 0
+        for name in ("tg.csv", "ps.csv"):
+            assert (tmp_path / "4000" / name).read_bytes() == \
+                   (tmp_path / "inf" / name).read_bytes()
 
 
 def read_csv(path):
@@ -539,6 +579,136 @@ class TestBenchCommand:
         assert manifest["grid_points"] == "201"
         # bench times one process, whatever CPUs it may use
         assert "# workers = 1" in (tmp_path / "manifest.txt").read_text()
+
+
+# a value other than the default for every flag a command reads, and one
+# value for the axes a command reads once
+NON_DEFAULT = {"nt": "3,5", "nr": "3", "rho_db": "-10,10", "c_db": "-100",
+               "k_db": "4", "omega_db": "-25", "pd_dbm": "27", "rn_dbm": "-112",
+               "trials": "30", "seed": "11", "threads": "3", "grid_points": "301",
+               "instances": "3", "samples": "40", "perturb_alpha": "0.01",
+               "repeats": "7"}
+ONE_VALUE = {"nt": "3", "rho_db": "10", "c_db": "-100"}
+
+# manifests as the version before the flag table wrote them
+OLD_SWEEP_MANIFEST = """# fdbf manifest (a valid config file: rerun with --config)
+# version = 0.1.0
+# command = sweep
+# backend = numpy
+# workers = 2
+# output = tg.csv
+# output = ps.csv
+nt = 2, 4, 6
+nr = 3
+rho_db = -10.0, 0.0, 10.0
+c_db = -100.0
+k_db = 5.0
+omega_db = -20.0
+pd_dbm = 25.0
+rn_dbm = -110.0
+trials = 300
+seed = 9
+threads = 3
+"""
+OLD_BENCH_MANIFEST = """# fdbf manifest (a valid config file: rerun with --config)
+# version = 0.1.0
+# command = bench
+# backend = numpy
+# workers = 1
+# output = bench.csv
+nt = 2, 4
+nr = 3
+k_db = 5.0
+omega_db = -20.0
+pd_dbm = 25.0
+rn_dbm = -110.0
+seed = 9
+grid_points = 301
+repeats = 7
+"""
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["sweep", "verify", "bench"])
+    def test_manifest_round_trip_restores_every_flag(self, command, tmp_path):
+        spec = fdbf.cli.COMMANDS[command]
+        keys = [key for key in spec.flags if key != "out_dir"]
+        argv = [command]
+        for key in keys:
+            table = ONE_VALUE if key in spec.once else NON_DEFAULT
+            argv += ["--" + key.replace("_", "-"), table[key]]
+        ran = settings_for(argv)
+        for key in keys:
+            default = spec.defaults.get(key, fdbf.cli.FLAGS[key].default)
+            assert getattr(ran, key) != default, key
+        if "out_dir" in spec.flags:
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        else:  # verify writes no manifest: record one as the others do
+            ran.out_dir = tmp_path
+            fdbf.cli._write_manifest(ran, ())
+        manifest = parse_config(tmp_path / "manifest.txt")
+        assert list(manifest) == keys
+        replayed = settings_for([command, "--config",
+                                 str(tmp_path / "manifest.txt")])
+        for key in keys:
+            assert getattr(replayed, key) == getattr(ran, key), key
+
+    def test_manifest_keys(self, tmp_path):
+        # sweep's key lines are those of every earlier version; bench's
+        # gained its cap
+        assert [key for key in fdbf.cli.COMMANDS["sweep"].flags
+                if key != "out_dir"] == [
+            "nt", "nr", "rho_db", "c_db", "k_db", "omega_db", "pd_dbm",
+            "rn_dbm", "trials", "seed", "threads"]
+        assert main(["bench", "--c-db", "-90", "--repeats", "3",
+                     "--grid-points", "11", "--out-dir", str(tmp_path)]) == 0
+        assert list(parse_config(tmp_path / "manifest.txt")) == [
+            "nt", "nr", "c_db", "k_db", "omega_db", "pd_dbm", "rn_dbm", "seed",
+            "grid_points", "repeats"]
+        assert parse_config(tmp_path / "manifest.txt")["c_db"] == "-90.0"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--nt", "2,8"], ["verify", "--c-db", "-130,-90"],
+        ["verify", "--nt", "2,8", "--c-db", "-130..-90"],
+        ["verify", "--rho-db", "0..10"], ["bench", "--c-db", "-130,-90"],
+        ["bench", "--rho-db", "0"], ["bench", "--trials", "5"],
+        ["verify", "--out-dir", "x"], ["verify", "--trials", "5"],
+        ["verify", "--threads", "2"], ["sweep", "--grid-points", "10"],
+        ["sweep", "--repeats", "10"], ["sweep", "--instances", "10"]])
+    def test_flags_a_command_does_not_read_are_refused(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[1] in err
+
+    def test_config_keys_a_command_does_not_read_are_ignored(self, tmp_path):
+        config = tmp_path / "c.txt"
+        config.write_text("trials = 5\nthreads = 2\nrepeats = 3\n"
+                          "grid_points = 21\nseed = 4\n")
+        s = settings_for(["verify", "--config", str(config)])
+        assert (s.trials, s.threads, s.repeats) == (10000, 1, 200)
+        assert (s.grid_points, s.seed) == (21, 4)
+        s = settings_for(["sweep", "--config", str(config)])
+        assert (s.trials, s.threads, s.repeats, s.seed) == (5, 2, 200, 4)
+
+    def test_old_manifests_replay(self, tmp_path):
+        old = tmp_path / "old.txt"
+        old.write_text(OLD_SWEEP_MANIFEST)
+        assert main(["sweep", "--config", str(old),
+                     "--out-dir", str(tmp_path / "replay")]) == 0
+        assert main(["sweep", "--nt", "2..6", "--nr", "3", "--rho-db",
+                     "-10..10", "--c-db", "-100", "--k-db", "5", "--omega-db",
+                     "-20", "--pd-dbm", "25", "--rn-dbm", "-110", "--trials",
+                     "300", "--seed", "9", "--out-dir", str(tmp_path / "flags")]) == 0
+        for name in ("tg.csv", "ps.csv"):
+            assert (tmp_path / "replay" / name).read_bytes() == \
+                   (tmp_path / "flags" / name).read_bytes()
+        old.write_text(OLD_BENCH_MANIFEST)
+        replayed = settings_for(["bench", "--config", str(old)])
+        flags = settings_for(["bench", "--nt", "2,4", "--nr", "3", "--k-db", "5",
+                              "--omega-db", "-20", "--pd-dbm", "25", "--rn-dbm",
+                              "-110", "--seed", "9", "--grid-points", "301",
+                              "--repeats", "7"])
+        assert vars(replayed) == vars(flags)
 
 
 class TestTopLevel:
