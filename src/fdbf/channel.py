@@ -69,11 +69,20 @@ class SystemConfig:
             raise ValueError("k_factor_db must not be NaN")
         if math.isinf(db_to_linear(self.rho_db)):
             raise ValueError(f"rho_db = {self.rho_db!r} overflows a linear SNR")
-        if not all(map(math.isfinite, ricean_params(self.k_factor_db,
-                                                    self.omega_db))):
+        mean, std = ricean_params(self.k_factor_db, self.omega_db)
+        if not (math.isfinite(mean) and math.isfinite(std)):
             raise ValueError(f"k_factor_db = {self.k_factor_db!r} and omega_db "
                              f"= {self.omega_db!r} give an SI channel whose "
                              f"Ricean mean or std is not finite")
+        # a Box-Muller draw has |z|^2 = -log(u1) <= 53 ln 2 < 36.8, as
+        # u1 >= 2**-53, so |z| < 6.07: ||h_d||^2 <= 36.8 n_t, and as ||v|| = 1,
+        # ||a||^2 = ||H^H v||^2 <= ||H||_F^2 <= n_t n_r (mean + 6.07 std)^2
+        entry = mean + 6.07 * std
+        if math.isinf(36.8 * self.n_t * self.n_t * self.n_r * entry * entry):
+            raise ValueError(f"omega_db = {self.omega_db!r} (k_factor_db = "
+                             f"{self.k_factor_db!r}) can make ||h_d||^2 "
+                             f"||a||^2 overflow a float at n_t = {self.n_t}, "
+                             f"n_r = {self.n_r}")
 
     def replace(self, **changes):
         """Copy with the given fields replaced."""

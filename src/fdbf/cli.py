@@ -12,8 +12,8 @@ its command does not read is a usage error, and so is a second value of an
 axis it reads once.
 
 sweep and verify run on one process per usable CPU (the affinity mask, so
-`taskset -c 0` runs serially) through procs.fork_map; their output does not
-depend on that number. bench runs in one process.
+`taskset -c 0` runs serially) through procs.fork_stages; their output does
+not depend on that number. bench runs in one process.
 
 Axis flags accept a scalar, a comma list, or a range lo..hi[:step]. A config
 file of flat `key = value` lines (keys are the flag names with underscores)
@@ -78,10 +78,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let axis values like -10, -116.4, -10..20:10 or -10,0,10 pass as
-        # flag arguments instead of being mistaken for option strings
+        # let every value a flag's parser may take pass as its argument
+        # instead of being mistaken for an option string: a minus sign and
+        # what may start a float, as in -10, -.5..3, -1., -inf or -Infinity
         self._negative_number_matcher = re.compile(
-            r"^-\d+(\.\d+)?([eE][+-]?\d+)?(\.\..*|,.*)?$")
+            r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

@@ -37,7 +37,8 @@ from . import kernels
 from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
                       ricean_params, si_threshold)
-from .numerics import RngState, box_muller, stream_uniforms
+from .numerics import (RngState, box_muller_join, box_muller_phase,
+                       box_muller_radius, stream_uniforms)
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -144,15 +145,27 @@ def run_trial(cfg, trial_index):
 _WORDS_PER_PASS = 1 << 16
 
 
-def _gaussian_columns(u, start, k, mean=0.0, std=1.0):
-    """CN(mean, std^2) rows from uniform columns start .. start + 2k.
+def _tables(u, spans, transform):
+    """{(lo, hi): views of transform(u[:, lo:hi])} for each span (lo, hi).
 
-    Consumes k uniforms for u1 and then k for u2, the order in which
-    sample_complex_gaussian consumes a stream, and scales the same way.
+    transform maps a block of columns to a tuple of tables of its shape,
+    elementwise. It runs once on each maximal run of the columns the spans
+    cover, and each span takes views into its run's tables, so a column
+    that several spans cover is transformed once.
     """
-    u1 = 1.0 - u[:, start:start + k]
-    u2 = np.ascontiguousarray(u[:, start + k:start + 2 * k])
-    return complex(mean) + float(std) * box_muller(u1, u2)
+    runs = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    views = {}
+    for start, stop in runs:
+        tables = transform(u[:, start:stop])
+        for lo, hi in spans:
+            if start <= lo and hi <= stop:
+                views[lo, hi] = [t[:, lo - start:hi - start] for t in tables]
+    return views
 
 
 class _Draw(NamedTuple):
@@ -184,10 +197,14 @@ def _draws(cfg, trials, n_ts, chunks=None):
     order; `chunks`, a range of chunk indices, draws only those. Trial t's
     rows are bit-identical to draw_realization(cfg with n_t,
     RngState(cfg.seed, t)), whichever chunks are drawn. A stream is read
-    as h_u, h_d, H, so each n_t's words are a prefix of the largest n_t's:
-    stream_uniforms draws those once per chunk, h_u and v are built once,
-    and each n_t runs the per-trial path's operations on its prefix in the
-    same order, batched.
+    as h_u, h_d, H, each k entries taking k words as u1 and then k as u2,
+    so each n_t's words are a prefix of the largest n_t's: stream_uniforms
+    draws those once per chunk, and h_u and v are built once. Box-Muller
+    runs once per word: the radius of every word some n_t reads as u1, and
+    the cos and sin of every word some n_t reads as u2, are computed once
+    per chunk over each maximal run of such words, and every variable of
+    every n_t joins views into them. With one n_t the runs are the
+    variables' own ranges.
     """
     n_r, top = cfg.n_r, max(n_ts)
     mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
@@ -195,18 +212,32 @@ def _draws(cfg, trials, n_ts, chunks=None):
     chunk = _chunk_trials(n_r, top)
     if chunks is None:
         chunks = range(-(-trials // chunk))
+    # (first word, entries) of h_u, then of h_d and H at each n_t
+    starts = [(0, n_r)]
+    for n_t in n_ts:
+        starts += [(2 * n_r, n_t), (2 * (n_r + n_t), n_r * n_t)]
+    u1_spans = {(w, w + m) for w, m in starts}
+    u2_spans = {(w + m, w + 2 * m) for w, m in starts}
     for k in chunks:
         lo = k * chunk
         hi = min(lo + chunk, trials)
         u = stream_uniforms(cfg.seed, np.arange(lo, hi), words)
-        h_u = _gaussian_columns(u, 0, n_r)
+        radius = _tables(u, u1_spans,
+                         lambda block: (box_muller_radius(1.0 - block),))
+        phase = _tables(u, u2_spans, box_muller_phase)
+
+        def gaussian(w, m, mean=0.0, std=1.0):
+            z = box_muller_join(*radius[w, w + m], *phase[w + m, w + 2 * m])
+            return complex(mean) + float(std) * z
+
+        h_u = gaussian(0, n_r)
         with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
             v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
         # an all-zero h_u is redrawn from the same stream: replay that trial
         replay = np.flatnonzero(~np.any(h_u, axis=1))
         for n_t in n_ts:
-            h_d = _gaussian_columns(u, 2 * n_r, n_t)
-            H = _gaussian_columns(u, 2 * (n_r + n_t), n_r * n_t, mean, std)
+            h_d = gaussian(2 * n_r, n_t)
+            H = gaussian(2 * (n_r + n_t), n_r * n_t, mean, std)
             H = H.reshape(hi - lo, n_r, n_t)
             a = np.matmul(H.conj().transpose(0, 2, 1), v[:, :, None])[:, :, 0]
             for i in replay:
@@ -335,10 +366,11 @@ def run_sweep(cfg, axes=None, workers=1):
     across rho, so the power-saving column is bit-identical along the rho
     axis by construction. Deterministic given (cfg.seed, axes).
 
-    `workers` processes share the work through procs.fork_map: each draws
-    and solves a range of chunks into shared arrays, then aggregates a
-    range of (n_t, c) columns. A chunk's bits do not depend on which
-    process draws it and the sums are exact, so neither does the result.
+    `workers` processes, forked once, share the work through two stages of
+    procs.fork_stages: each draws and solves a range of chunks into shared
+    arrays, and once every chunk is solved, aggregates a range of (n_t, c)
+    columns. A chunk's bits do not depend on which process draws it and the
+    sums are exact, so neither does the result.
     """
     from . import procs  # not at import: `import fdbf` stays free of it
 
@@ -375,10 +407,10 @@ def run_sweep(cfg, axes=None, workers=1):
               for rho, r_zf in zip(rhos, rate_zf)]
         return n - keep.size, _mean_ci(1.0 - g_zf / g_opt), tg
 
-    procs.fork_map(solve, range(-(-n // _chunk_trials(cfg.n_r, max(n_ts)))),
-                   workers)
+    chunks = range(-(-n // _chunk_trials(cfg.n_r, max(n_ts))))
     columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
-    aggregates = iter(procs.fork_map(aggregate, columns, workers))
+    stages = [(solve, chunks), (aggregate, columns)]
+    aggregates = iter(procs.fork_stages(stages, workers)[1])
     points = {}
     for n_t in n_ts:
         points[n_t] = []

@@ -176,25 +176,42 @@ def stream_uniforms(seed, stream_ids, m):
     return out
 
 
+def box_muller_radius(u1):
+    """Box-Muller radii sqrt(-log(u1)) of uniforms u1 in (0, 1]."""
+    return np.sqrt(-np.log(u1))
+
+
+def box_muller_phase(u2):
+    """(cos, sin) of the Box-Muller phases 2 pi u2 of uniforms u2 in [0, 1)."""
+    phase = 2.0 * np.pi * u2
+    return np.cos(phase), np.sin(phase)
+
+
+def box_muller_join(r, cos, sin):
+    """r (cos + 1j sin), elementwise, with the complex product's bits.
+
+    r cos and r sin go straight into the real and imaginary parts, which is
+    r * (cos + 1j sin) bit for bit wherever r != 0. At u1 == 1, r is -0.0
+    and the complex product signs each zero by both factors, so those
+    elements take the complex product itself. The arguments may be views
+    with any strides.
+    """
+    z = np.empty(r.shape, dtype=np.complex128)
+    np.multiply(r, cos, out=z.real)
+    np.multiply(r, sin, out=z.imag)
+    if not r.all():
+        at_zero = r == 0.0
+        z[at_zero] = r[at_zero] * (cos[at_zero] + 1j * sin[at_zero])
+    return z
+
+
 def box_muller(u1, u2):
     """CN(0, 1) draws from uniforms u1 in (0, 1] and u2 in [0, 1).
 
     Elementwise, so a batch of contiguous rows gives the same bits as one
-    row at a time. r cos and r sin go straight into the real and imaginary
-    parts, which is r * (cos + 1j sin) bit for bit wherever r != 0. At
-    u1 == 1, r is -0.0 and the complex product signs each zero by both
-    factors, so those elements take the complex product itself.
+    row at a time: each draw is box_muller_join of its radius and phase.
     """
-    r = np.sqrt(-np.log(u1))
-    phase = 2.0 * np.pi * u2
-    z = np.empty(phase.shape, dtype=np.complex128)
-    np.multiply(r, np.cos(phase), out=z.real)
-    np.multiply(r, np.sin(phase), out=z.imag)
-    if not r.all():
-        at_one = r == 0.0
-        p = phase[at_one]
-        z[at_one] = r[at_one] * (np.cos(p) + 1j * np.sin(p))
-    return z
+    return box_muller_join(box_muller_radius(u1), *box_muller_phase(u2))
 
 
 def box_muller_uniforms(gen, n):

@@ -3,7 +3,9 @@
   keep_freed_memory        freed memory stays in the C heap (glibc mallopt)
   hold_blas_to_one_thread  every loaded OpenBLAS runs on one thread
   worker_count             processes a command may run on
-  fork_map                 [fn(x) for x in items] on forked processes
+  fork_stages              stages of [fn(x) for x in items] on one set of
+                           forked processes
+  fork_map                 one such stage
   shared_empty             an array forked processes write into
 
 The first two change the whole process, so only `cli.main` calls them:
@@ -171,96 +173,141 @@ def shared_empty(shape, dtype=np.float64):
     return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
-# blocks of items a fork_map queue holds: 4-byte block indices that fit in
-# one page, which a pipe holds before any child reads it
+# blocks of items a stage's queue holds: 4-byte block indices that fit in
+# one page, which a pipe holds before any child reads it, and which one
+# write puts there at once
 _QUEUE_SLOTS = 1024
 
 
-def _child(fn, items, size, queue, reply_end):
-    """Body of a forked worker: run fn on each block of `size` items whose
-    index it reads from the queue, and send {item index: result}, or the
-    failing index and what it raised, through the reply pipe; never return.
+def _blocks(count):
+    """(items a block, blocks) of a stage of `count` items."""
+    size = max(1, -(-count // _QUEUE_SLOTS))
+    return size, -(-count // size)
+
+
+def _fill(fill, count):
+    """Put the block indices of a stage of `count` items on its queue
+    through the queue's write end, and close it, so the queue ends."""
+    with open(fill, "wb") as out:
+        out.write(b"".join(k.to_bytes(4, "little")
+                           for k in range(_blocks(count)[1])))
+
+
+def _child(stages, queues, fills, reply_end):
+    """Body of a forked worker: for each stage, run fn on each block of
+    items whose index it reads from the stage's queue until the queue ends,
+    and send {item index: result}, or the failing index and what it raised,
+    length first, through the reply pipe; stop after a failed stage; never
+    return.
     """
     status = 1
     try:
-        results, i = {}, -1  # -1: failed before its first item
-        try:
-            while record := os.read(queue, 4):
-                k = int.from_bytes(record, "little")
-                for i in range(k * size, min((k + 1) * size, len(items))):
-                    results[i] = fn(items[i])
-            reply = (True, results)
-        except BaseException as exc:  # reaches the caller, re-raised there
-            reply = (False, (i, exc))
-        try:
-            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # send what cannot be pickled as text
-            failed = exc if reply[0] else reply[1][1]
-            data = pickle.dumps((False, (i, RuntimeError(
-                "".join(traceback.format_exception(failed))))))
+        for fill in fills:  # a queue ends once no process holds its write end
+            os.close(fill)
         with os.fdopen(reply_end, "wb") as out:
-            out.write(data)
+            for (fn, items), queue in zip(stages, queues):
+                size = _blocks(len(items))[0]
+                results, i = {}, -1  # -1: failed before its first item
+                try:
+                    while record := os.read(queue, 4):
+                        first = int.from_bytes(record, "little") * size
+                        for i in range(first, min(first + size, len(items))):
+                            results[i] = fn(items[i])
+                    reply = (True, results)
+                except BaseException as exc:  # re-raised in the caller
+                    reply = (False, (i, exc))
+                try:
+                    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # send what cannot be pickled as text
+                    failed = exc if reply[0] else reply[1][1]
+                    reply = (False, (i, RuntimeError(
+                        "".join(traceback.format_exception(failed)))))
+                    data = pickle.dumps(reply)
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+                if not reply[0]:
+                    break
         status = 0
     finally:
         # skip the exit handlers and buffers this process shares with its parent
         os._exit(status)
 
 
-def fork_map(fn, items, workers=1):
-    """[fn(x) for x in items], on `workers` forked processes.
+def fork_stages(stages, workers=1):
+    """[[fn(x) for x in items] for fn, items in stages], on `workers`
+    forked processes, one set for every stage.
 
-    A child is forked for each worker while the caller waits. The children
-    take the items in order, a block at a time, from a queue the caller
-    filled before forking, so a child on a slower CPU takes fewer. fn and
-    the items reach them by fork, never by pickle; only the results come
-    back, pickled through a pipe, and the caller puts them in item order:
-    they do not depend on `workers`. With one worker, or one item, this is
-    the plain loop in the caller. An exception fn raises in a child reaches
-    the caller with its own type; where several items failed, the first
-    one's. No child outlives the call. Take `workers` from worker_count():
-    forking under other threads is unsafe.
+    A child is forked for each worker while the caller waits, and the same
+    children run every stage in turn. For each stage they take the items in
+    order, a block at a time, from a queue, so a child on a slower CPU takes
+    fewer. The caller fills the first stage's queue before forking, and
+    each later stage's only once every child has replied for the one
+    before, so a stage may read what the stages before it wrote into
+    shared_empty arrays. fn and the items reach the children by fork, never
+    by pickle; only the results come back, pickled through a pipe, and the
+    caller puts each stage's in item order: they do not depend on
+    `workers`. With one worker, or at most one item in every stage, this is
+    the plain loops in the caller. An exception fn raises in a child
+    reaches the caller with its own type; where several items of a stage
+    failed, the first one's; and no later stage starts. A child that ends
+    without replying is a ChildProcessError. No child outlives the call.
+    Take `workers` from worker_count(): forking under other threads is
+    unsafe.
     """
-    items = list(items)
-    n = min(workers, len(items))
+    stages = [(fn, list(items)) for fn, items in stages]
+    n = min(workers, max((len(items) for _, items in stages), default=0))
     if n <= 1:
-        return [fn(x) for x in items]
-    size = -(-len(items) // _QUEUE_SLOTS)
-    queue, fill = os.pipe()
+        return [[fn(x) for x in items] for fn, items in stages]
+    queues, fills = zip(*(os.pipe() for _ in stages))  # read, write ends
+    fills = dict(enumerate(fills))  # until filled
     children = {}  # pid: read end of its reply pipe, until reaped
     try:
-        with open(fill, "wb") as out:
-            out.write(b"".join(k.to_bytes(4, "little")
-                               for k in range(-(-len(items) // size))))
+        _fill(fills.pop(0), len(stages[0][1]))
         for _ in range(n):
             read_end, reply_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(fn, items, size, queue, reply_end)
+                _child(stages, queues, list(fills.values()), reply_end)
             os.close(reply_end)
-            children[pid] = read_end
-        results = [None] * len(items)
-        failed = []
+            children[pid] = open(read_end, "rb")
+        out = []
+        for k, (_, items) in enumerate(stages):
+            if k:
+                _fill(fills.pop(k), len(items))
+            results = [None] * len(items)
+            failed = []
+            for pid, pipe in list(children.items()):
+                head = pipe.read(8)
+                length = int.from_bytes(head, "little")
+                data = pipe.read(length)
+                if len(head) < 8 or len(data) < length:
+                    _, status = os.waitpid(pid, 0)
+                    children.pop(pid).close()
+                    raise ChildProcessError(
+                        f"worker process {pid} ended without a result "
+                        f"(wait status {status})")
+                ok, value = pickle.loads(data)
+                if ok:
+                    for i, result in value.items():
+                        results[i] = result
+                else:
+                    failed.append(value)
+            if failed:
+                raise min(failed, key=lambda f: f[0])[1]
+            out.append(results)
         for pid in list(children):
-            with open(children[pid], "rb", closefd=False) as pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            if not data:
-                raise ChildProcessError(
-                    f"worker process {pid} ended without a result "
-                    f"(wait status {status})")
-            ok, value = pickle.loads(data)
-            if ok:
-                for i, result in value.items():
-                    results[i] = result
-            else:
-                failed.append(value)
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
-        return results
+            os.waitpid(pid, 0)
+            children.pop(pid).close()
+        return out
     finally:
-        os.close(queue)
-        for pid, read_end in children.items():
+        for fd in (*queues, *fills.values()):
+            os.close(fd)
+        for pid, pipe in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(read_end)
+            pipe.close()
+
+
+def fork_map(fn, items, workers=1):
+    """[fn(x) for x in items]: fork_stages with one stage."""
+    return fork_stages([(fn, items)], workers)[0]

@@ -5,7 +5,8 @@ import pytest
 
 from fdbf.channel import (ChannelRealization, SystemConfig, db_to_linear,
                           draw_realization, ricean_params, si_threshold)
-from fdbf.numerics import RngState, norm_sq, sample_complex_gaussian
+from fdbf.numerics import (RngState, box_muller_radius, norm_sq,
+                           sample_complex_gaussian)
 
 
 class TestDbToLinear:
@@ -104,6 +105,19 @@ class TestSystemConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             SystemConfig(**bad)
+
+
+    def test_refuses_an_si_power_whose_gram_bound_overflows(self):
+        # the largest Box-Muller radius, at u1 = 2**-53, is within the bound
+        assert box_muller_radius(2.0 ** -53) ** 2 < 36.8
+        assert box_muller_radius(2.0 ** -53) < 6.07
+        # at the defaults the bound reaches the float64 range near 3049 dB
+        SystemConfig(omega_db=3048.0)
+        with pytest.raises(ValueError, match="omega_db = 3050.0"):
+            SystemConfig(omega_db=3050.0)
+        with pytest.raises(ValueError, match="n_t = 64"):
+            SystemConfig(omega_db=3048.0, n_t=64)
+        SystemConfig(omega_db=3048.0, k_factor_db=float("inf"))
 
 
 class TestDrawRealization:

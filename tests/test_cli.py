@@ -228,6 +228,38 @@ class TestSettings:
             assert "unrecognized arguments" not in err
             assert "reads one value" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k-db", "-inf"), ("--k-db", "-Infinity"), ("--rho-db", "-.5"),
+        ("--c-db", "-1."), ("--rho-db", "-.5..3"), ("--c-db", "-1e2,-.5"),
+        ("--pd-dbm", "-.5E1")])
+    def test_negative_values_pass_as_separate_arguments(self, flag, value):
+        key = flag[2:].replace("-", "_")
+        apart = getattr(settings_for(["sweep", flag, value]), key)
+        assert apart == getattr(settings_for(["sweep", f"{flag}={value}"]), key)
+
+    def test_rayleigh_si_channel_from_a_separate_minus_inf(self, tmp_path):
+        # K = -inf dB is pure Rayleigh; both spellings write the same bytes
+        for argv in (["--k-db", "-inf"], ["--k-db=-inf"]):
+            assert main(["sweep", *argv, "--trials", "50", "--seed", "3",
+                         "--out-dir", str(tmp_path / argv[-1])]) == 0
+        for name in ("tg.csv", "ps.csv"):
+            assert (tmp_path / "-inf" / name).read_bytes() == \
+                   (tmp_path / "--k-db=-inf" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "10000"],
+        ["verify", "--instances", "100", "--samples", "100",
+         "--grid-points", "100"]])
+    def test_si_power_that_can_overflow_is_a_usage_error(self, argv, tmp_path,
+                                                          capsys):
+        if "out_dir" in fdbf.cli.COMMANDS[argv[0]].flags:
+            argv = argv + ["--out-dir", str(tmp_path)]
+        assert main([*argv, "--omega-db", "3070"]) == 2
+        assert capsys.readouterr().err.startswith("error: omega_db = 3070.0 ")
+        settings_for([argv[0], "--omega-db", "3048"])
+        with pytest.raises(UsageError, match="omega_db = 3048.0 .* n_t = 4,"):
+            settings_for([argv[0], "--omega-db", "3048", "--nt", "4"])
+
     def test_large_finite_k_factor_is_line_of_sight(self, tmp_path):
         # a K-factor whose ratio overflows is K = inf: the same bytes
         for k_db in ("4000", "inf"):
@@ -535,7 +567,7 @@ class TestSweepWorkers:
             runs.append(self.run(axes, tmp_path / str(n)))
             manifest = (tmp_path / str(n) / "manifest.txt").read_text()
             assert f"\n# workers = {n}\n" in manifest
-            assert len(forks) == 2 + 2  # the two-CPU run draws, then aggregates
+            assert len(forks) == 2  # the two-CPU run's workers draw, then aggregate
         assert runs[0] == runs[1]
         # the manifest replays, whatever the worker count
         assert main(["sweep", "--config", str(tmp_path / "2" / "manifest.txt"),

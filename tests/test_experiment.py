@@ -14,7 +14,7 @@ from fdbf.channel import SystemConfig, draw_realization, si_threshold
 import fdbf.experiment
 import fdbf.procs
 from fdbf.numerics import _LONG_STREAM, RngState
-from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult,
+from fdbf.experiment import (_Z95, SweepAxes, SweepPoint, SweepResult, _draws,
                              _exact_sum, _mean_ci, _pow_squares, draw_batch,
                              draw_realizations, run_sweep, run_trial)
 
@@ -173,10 +173,62 @@ class TestDrawBatch:
             assert r.epsilon == ref.epsilon
 
     def test_non_finite_draw_raises(self, monkeypatch):
-        monkeypatch.setattr(fdbf.experiment, "box_muller",
-                            lambda u1, u2: np.full(u1.shape, np.nan + 0j))
+        monkeypatch.setattr(fdbf.experiment, "box_muller_join",
+                            lambda r, cos, sin: np.full(r.shape, np.nan + 0j))
         with pytest.raises(ValueError, match="finite"):
             draw_batch(SystemConfig(n_t=2, trials=3, seed=0))
+
+
+class TestSharedBoxMuller:
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    @pytest.mark.parametrize("n_ts", [(2, 4, 6, 8, 10), (8, 2, 8), (1, 2, 5)])
+    def test_every_n_t_equals_its_own_draw(self, monkeypatch, n_ts, n_r):
+        cfg = SystemConfig(n_r=n_r, k_factor_db=3.0, seed=12)
+        # passes of 7 trials at the largest n_t: chunk ends inside the 30
+        monkeypatch.setattr(fdbf.experiment, "_WORDS_PER_PASS",
+                            7 * _stream_words(n_r, max(n_ts)))
+        shared = list(_draws(cfg, 30, n_ts))
+        assert [d.n_t for d in shared] == list(n_ts) * 5
+        for j, n_t in enumerate(n_ts):
+            mine = shared[j::len(n_ts)]
+            # the one-n_t draw, in chunks sized on n_t alone
+            alone = list(_draws(cfg, 30, (n_t,)))
+            for name in ("h_u", "h_d", "H", "v", "a"):
+                np.testing.assert_array_equal(
+                    np.concatenate([getattr(d, name) for d in mine]),
+                    np.concatenate([getattr(d, name) for d in alone]))
+            for d in mine:
+                for i, t in enumerate(range(30)[d.rows]):
+                    r = draw_realization(cfg.replace(n_t=n_t),
+                                         RngState(cfg.seed, t))
+                    for name in ("h_u", "h_d", "H", "v"):
+                        np.testing.assert_array_equal(getattr(d, name)[i],
+                                                      getattr(r, name))
+                    np.testing.assert_array_equal(d.a[i],
+                                                  r.effective_si_vector())
+
+    @pytest.mark.parametrize("n_ts, n_r, cos_sin, log_sqrt", [
+        ((2, 4, 6, 8, 10), 2, 60, 42),  # figure_nt: 92 of each, one per n_t
+        ((64,), 2, 194, 194),           # cancel_dense: one n_t, no sharing
+        ((3,), 2, 2 + 3 + 6, 2 + 3 + 6)])
+    def test_each_word_is_transformed_once(self, monkeypatch, n_ts, n_r,
+                                           cos_sin, log_sqrt):
+        counts = {"phase": 0, "radius": 0}
+
+        def counting(name, real):
+            def count(u):
+                counts[name] += u.size
+                return real(u)
+            return count
+
+        monkeypatch.setattr(fdbf.experiment, "box_muller_phase", counting(
+            "phase", fdbf.experiment.box_muller_phase))
+        monkeypatch.setattr(fdbf.experiment, "box_muller_radius", counting(
+            "radius", fdbf.experiment.box_muller_radius))
+        trials = 300
+        for _ in _draws(SystemConfig(n_r=n_r, seed=1), trials, n_ts):
+            pass
+        assert counts == {"phase": cos_sin * trials, "radius": log_sqrt * trials}
 
 
 def _mean_ci_reference(values):
@@ -507,8 +559,8 @@ class TestRunSweep:
         for workers in (2, 3):
             assert _bits(run_sweep(cfg, axes, workers).points) == serial
             assert_no_children()
-        # one child per worker to draw and solve, and again to aggregate
-        assert len(forks) == 2 * (2 + 3)
+        # one child per worker, to draw and solve and then to aggregate
+        assert len(forks) == 2 + 3
 
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
         def failing_solve(h_d, a, eps):

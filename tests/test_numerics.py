@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import fdbf.numerics
-from fdbf.numerics import (_LONG_STREAM, RngState, box_muller, inner,
-                           matvec_adj, norm_sq, philox_raw,
-                           sample_complex_gaussian, stream_uniforms, uniforms)
+from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
+                           box_muller_join, box_muller_phase,
+                           box_muller_radius, inner, matvec_adj, norm_sq,
+                           philox_raw, sample_complex_gaussian,
+                           stream_uniforms, uniforms)
 
 
 class TestInner:
@@ -161,6 +163,20 @@ class TestBoxMuller:
         u1 = np.ones((2, u2.size))
         u1[1, ::2] = 0.5
         u2 = np.stack([u2, u2])
+        assert _same_bits(box_muller(u1, u2), _box_muller_product(u1, u2))
+
+
+    def test_join_of_strided_views_at_u1_of_one(self):
+        # the join takes views into wider tables; u1 == 1 gives r = -0.0
+        u2 = np.linspace(0.0, 1.0, 48, endpoint=False).reshape(3, 16)
+        u1 = np.ones((3, 16))
+        u1[1] = 0.25
+        r = box_muller_radius(u1)
+        assert np.signbit(r[0]).all() and not r[0].any()
+        cos, sin = box_muller_phase(u2)
+        z = box_muller_join(r[:, 2:14:3], cos[:, 1:13:3], sin[:, 1:13:3])
+        expected = r[:, 2:14:3] * (cos[:, 1:13:3] + 1j * sin[:, 1:13:3])
+        assert _same_bits(z, expected)
         assert _same_bits(box_muller(u1, u2), _box_muller_product(u1, u2))
 
 
