@@ -15,8 +15,9 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .beamform import (BeamformerSolution, DegenerateParallelError, closed_form,
-                       dl_rate, family, mrt, optimal, si_power, zf)
+from .beamform import (BeamformerSolution, DegenerateParallelError,
+                       SubnormalLeakageError, closed_form, dl_rate, family, mrt,
+                       optimal, si_power, zf)
 from .channel import (ChannelRealization, SystemConfig, db_to_linear,
                       draw_realization, ricean_params, si_threshold)
 from .experiment import (SweepAxes, SweepPoint, SweepResult, TrialRecord,
@@ -28,8 +29,8 @@ from .oracle import (OracleReport, feasible, grid_search,
 
 __all__ = [
     "__version__",
-    "BeamformerSolution", "DegenerateParallelError", "closed_form", "dl_rate",
-    "family", "mrt", "optimal", "si_power", "zf",
+    "BeamformerSolution", "DegenerateParallelError", "SubnormalLeakageError",
+    "closed_form", "dl_rate", "family", "mrt", "optimal", "si_power", "zf",
     "ChannelRealization", "SystemConfig", "db_to_linear", "draw_realization",
     "ricean_params", "si_threshold",
     "SweepAxes", "SweepPoint", "SweepResult", "TrialRecord", "draw_batch",

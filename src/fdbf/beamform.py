@@ -72,10 +72,15 @@ class BeamformerSolution:
     degenerate: bool = False
 
 
-# a subnormal ||a||^2 makes the projection coefficient a^H h_d / ||a||^2
-# overflow or lose its bits, and with them the split of h_d
+class SubnormalLeakageError(ValueError):
+    """||a||^2 is subnormal: the projection coefficient a^H h_d / ||a||^2
+    overflows or loses its bits, and with them the split of h_d."""
+
+    def __init__(self, message="||a||^2 must be 0 or a normal float64"):
+        super().__init__(message)
+
+
 _NORMAL_MIN = float(np.finfo(np.float64).tiny)
-_SUBNORMAL_LEAKAGE = "||a||^2 must be 0 or a normal float64"
 
 
 def _leakage_split(h_d, a):
@@ -83,13 +88,13 @@ def _leakage_split(h_d, a):
 
     h_d and a are complex128 vectors of one shape. Returns (p, q, gram, mag)
     with p = a (a^H h_d)/||a||^2, q = h_d - p, gram = ||a||^2 and
-    mag = |a^H h_d|^2. For ||a||^2 = 0: p = 0, q = h_d. Raises ValueError
-    on a subnormal ||a||^2.
+    mag = |a^H h_d|^2. For ||a||^2 = 0: p = 0, q = h_d. Raises
+    SubnormalLeakageError on a subnormal ||a||^2.
     """
     gram = float(np.vdot(a, a).real)
     if gram < _NORMAL_MIN:
         if gram:
-            raise ValueError(_SUBNORMAL_LEAKAGE)
+            raise SubnormalLeakageError
         return np.zeros_like(h_d), h_d, 0.0, 0.0
     c = complex(np.vdot(a, h_d))
     p = a * (c / gram)

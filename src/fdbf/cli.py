@@ -45,10 +45,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, procs
-from .beamform import dl_rate, family, optimal, DegenerateParallelError
+from .beamform import (DegenerateParallelError, SubnormalLeakageError, dl_rate,
+                       family, optimal)
 from .channel import SystemConfig, db_to_linear, si_threshold
 from .experiment import SweepAxes, draw_realizations, run_sweep
-from .numerics import RngState
+from .numerics import RngState, prepare_stream_drawer
 from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 
 # RNG stream ids: channel draws use the instance index, oracle sampling a
@@ -327,6 +328,14 @@ def _write_manifest(settings, outputs):
     _write_text(settings.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
+def _weak_si_channel(settings):
+    """The usage error for a draw whose ||a||^2 = ||H^H v||^2 is subnormal,
+    which the closed form cannot split h_d by: a tiny omega_db makes one."""
+    return UsageError(f"omega_db = {settings.omega_db!r} makes ||a||^2 "
+                      f"subnormal in some draw, too small to solve with; "
+                      f"raise --omega-db")
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
@@ -339,7 +348,10 @@ def cmd_sweep(settings):
                          "--nt and --c-db cannot both be ranges")
     axes = SweepAxes(tuple(settings.nt), tuple(settings.rho_db),
                      tuple(settings.c_db))
-    result = run_sweep(settings.base_config(), axes, settings.workers)
+    try:
+        result = run_sweep(settings.base_config(), axes, settings.workers)
+    except SubnormalLeakageError:
+        raise _weak_si_channel(settings) from None
     c_axis_swept = len(settings.c_db) > 1
     out = settings.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -439,12 +451,19 @@ def cmd_verify(settings):
                     perturb_alpha=settings.perturb_alpha,
                     rho=db_to_linear(cfg.rho_db))
     tasks = enumerate(draw_realizations(cfg, settings.instances))
+    # the sampling oracle's stream of 2 samples n_t words: its drawer is made
+    # here, once, for every worker to inherit
+    prepare_stream_drawer(2 * settings.samples * cfg.n_t)
+    try:
+        verdicts = procs.fork_map(check, tasks, settings.workers)
+    except SubnormalLeakageError:
+        raise _weak_si_channel(settings) from None
     n_failures = 0
     worst_grid_slack = math.inf
     worst_sample_slack = math.inf
     worst_activity = 0.0
     n_degenerate = 0
-    for i, verdict in enumerate(procs.fork_map(check, tasks, settings.workers)):
+    for i, verdict in enumerate(verdicts):
         for reason in verdict.reasons:
             n_failures += 1
             print(f"FAIL instance {i} (replay: seed {settings.seed}, "

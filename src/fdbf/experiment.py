@@ -38,7 +38,8 @@ from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
                       ricean_params, si_threshold)
 from .numerics import (RngState, box_muller_join, box_muller_phase,
-                       box_muller_radius, stream_uniforms)
+                       box_muller_radius, prepare_stream_drawer,
+                       stream_uniforms)
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -185,9 +186,15 @@ class _Draw(NamedTuple):
     a: np.ndarray
 
 
+def _stream_words(n_r, top):
+    """Words of each trial's stream _draws reads when the largest n_t is
+    `top`: h_u, h_d and H, two words an entry."""
+    return 2 * (n_r + top + n_r * top)
+
+
 def _chunk_trials(n_r, top):
     """Trials per chunk of _draws when the largest n_t is `top`."""
-    return max(1, _WORDS_PER_PASS // (2 * (n_r + top + n_r * top)))
+    return max(1, _WORDS_PER_PASS // _stream_words(n_r, top))
 
 
 def _draws(cfg, trials, n_ts, chunks=None):
@@ -208,7 +215,7 @@ def _draws(cfg, trials, n_ts, chunks=None):
     """
     n_r, top = cfg.n_r, max(n_ts)
     mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
-    words = 2 * (n_r + top + n_r * top)
+    words = _stream_words(n_r, top)
     chunk = _chunk_trials(n_r, top)
     if chunks is None:
         chunks = range(-(-trials // chunk))
@@ -410,6 +417,7 @@ def run_sweep(cfg, axes=None, workers=1):
     chunks = range(-(-n // _chunk_trials(cfg.n_r, max(n_ts))))
     columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
     stages = [(solve, chunks), (aggregate, columns)]
+    prepare_stream_drawer(_stream_words(cfg.n_r, max(n_ts)))  # workers inherit it
     aggregates = iter(procs.fork_stages(stages, workers)[1])
     points = {}
     for n_t in n_ts:

@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .beamform import _NORMAL_MIN, _SUBNORMAL_LEAKAGE, _leakage_split, closed_form
+from .beamform import (_NORMAL_MIN, SubnormalLeakageError, _leakage_split,
+                       closed_form)
 from .numerics import PARALLEL_RTOL
 
 _PAR_TOL_SQ = PARALLEL_RTOL ** 2  # squared relative parallelism threshold
@@ -74,7 +75,7 @@ def _caps(eps):
 _NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float64 range"
 # solve_batch squares ||h_d||^2 in the gains it keeps bit for bit, so that
 # square must neither overflow nor, for a nonzero h_d, leave the normal range.
-# Like beamform._leakage_split, whose bound and message it shares, it
+# Like beamform._leakage_split, whose bound and error it shares, it
 # rejects a subnormal ||a||^2.
 _NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 a normal float64 unless h_d = 0"
 
@@ -151,7 +152,7 @@ def solve_batch(h_d, a, eps):
         if (big | ((hd2 > 0.0) & (hd4 < _NORMAL_MIN))).any():
             raise ValueError(_NOT_FINITE_BATCH)
         if ((gram > 0.0) & (gram < _NORMAL_MIN)).any():
-            raise ValueError(_SUBNORMAL_LEAKAGE)
+            raise SubnormalLeakageError
         c = _dot_rows(ac, h)
         mag = c.real ** 2 + c.imag ** 2
 

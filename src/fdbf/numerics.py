@@ -6,13 +6,18 @@ circularly-symmetric Gaussian draws.
 
 Vectors are 1-D complex128 ndarrays, matrices are 2-D complex128 ndarrays.
 Random streams are counter-based (Philox) so that every Monte Carlo trial
-can own an independent stream addressed by (seed, stream id) without any
-shared mutable generator state. `stream_uniforms` draws the first uniforms
-of many such streams, bit-identical to numpy's generator: long streams one
-at a time through numpy's own Philox with its key reset per stream, short
-ones all at once through `philox_raw`, a vectorized Philox4x64-10.
+can own an independent stream addressed by (seed, stream id), whichever
+process or thread draws it. `stream_uniforms` draws the first uniforms of
+many such streams, bit-identical to numpy's generator: long streams one at
+a time through numpy's own Philox, short ones all at once through
+`philox_raw`, a vectorized Philox4x64-10. The long-stream drawer is one
+numpy Philox per thread, made on first use and kept: every stream resets
+its key, counter and buffer, so no draw depends on the one before it. A
+caller about to fork makes it first (`prepare_stream_drawer`), and its
+children inherit it.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,23 +156,51 @@ def uniforms(words):
 _LONG_STREAM = 96
 
 
+_thread = threading.local()
+
+
+def _long_stream_drawer():
+    """This thread's (Philox, Generator, fresh state) for long streams,
+    made on its first call and kept. The state, read back from the new
+    Philox, has counter 0 and an empty buffer: set with a key, it starts
+    that key's stream."""
+    try:
+        return _thread.drawer
+    except AttributeError:
+        bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        _thread.drawer = bit_gen, np.random.Generator(bit_gen), bit_gen.state
+        return _thread.drawer
+
+
+def prepare_stream_drawer(m):
+    """Make the drawer stream_uniforms takes for streams of m words, now.
+
+    numpy imports numpy.random, with secrets, hashlib and OpenSSL behind
+    its entropy source, on first use. A caller about to fork calls this
+    first, so that every child inherits the drawer and those modules
+    instead of making them again on its first draw: on a 2-vCPU x86-64
+    that took a verify worker's first instance from about 7 to 20-50 ms
+    and 900 to 1900 page faults. Streams shorter than _LONG_STREAM words
+    take no drawer, and nothing is made.
+    """
+    if m >= _LONG_STREAM:
+        _long_stream_drawer()
+
+
 def stream_uniforms(seed, stream_ids, m):
     """First m uniforms of each stream (seed, s) for s in stream_ids.
 
     Row i equals RngState(seed, stream_ids[i]).generator().random(m) bit
-    for bit. Streams of at least _LONG_STREAM words are drawn by one numpy
-    Philox whose key word 1 is set to each stream id in turn: the state read
-    back from a fresh generator has counter 0 and an empty buffer, so every
-    stream it is set to starts fresh. Shorter streams go through
-    philox_raw, all at once.
+    for bit. Streams of at least _LONG_STREAM words are drawn by this
+    thread's numpy Philox, its fresh state set with key [seed, s] for each
+    stream s in turn. Shorter streams go through philox_raw, all at once.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     if m < _LONG_STREAM:
         return uniforms(philox_raw(seed, ids, m))
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
+    bit_gen, gen, state = _long_stream_drawer()
     key = state["state"]["key"]
+    key[0] = seed
     out = np.empty((ids.size, m))
     for row, s in zip(out, ids):
         key[1] = s
@@ -214,14 +247,25 @@ def box_muller(u1, u2):
     return box_muller_join(box_muller_radius(u1), *box_muller_phase(u2))
 
 
-def box_muller_uniforms(gen, n):
+def box_muller_uniforms(rng, n):
     """The 2n uniforms of n Box-Muller draws: all n of u1, then all n of u2.
 
     u1 = 1 - U lies in (0, 1], which keeps log() finite; u2 lies in [0, 1).
+    rng is a numpy Generator, which this advances by 2n words, or an
+    RngState, whose stream gives the same bits from its start: through
+    stream_uniforms's drawer when the 2n words make a long stream, and
+    through the state's own Generator when they do not, since philox_raw's
+    pass costs more than a new Generator for a single short stream.
     """
-    u1 = gen.random(n)
+    if isinstance(rng, RngState) and 2 * n >= _LONG_STREAM:
+        u = stream_uniforms(rng.seed, [rng.stream_id], 2 * n)[0]
+        u1, u2 = u[:n], u[n:]
+    else:
+        gen = rng.generator() if isinstance(rng, RngState) else rng
+        u1 = gen.random(n)
+        u2 = gen.random(n)
     np.subtract(1.0, u1, out=u1)
-    return u1, gen.random(n)
+    return u1, u2
 
 
 def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):
@@ -238,6 +282,5 @@ def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):
         raise ValueError("n must be >= 1")
     if std < 0:
         raise ValueError("std must be >= 0")
-    gen = rng.generator() if isinstance(rng, RngState) else rng
-    z = box_muller(*box_muller_uniforms(gen, n))
+    z = box_muller(*box_muller_uniforms(rng, n))
     return complex(mean) + float(std) * z

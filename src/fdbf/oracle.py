@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .beamform import _leakage_split, si_power
-from .numerics import RngState, box_muller, box_muller_uniforms, norm_sq
+from .numerics import box_muller, box_muller_uniforms, norm_sq
 
 # Grid feasibility slack. Has to admit exact boundary candidates whose
 # leakage lands last-ulp above the cap (so the alpha* grid point itself is
@@ -50,18 +50,12 @@ GRID_FEAS_TOL = 1e-12
 # by at most (2 + eta) eta ||h_d||^2, and the filter widens x'^2 by
 # (2 + 3 eta) eta ||h_d||^2 each way; likewise y'^2 with ||a||^2.
 _SAMPLE_ETA = 4e-6
-# Candidates per filter block: each block's temporaries stay cache-sized.
-# At n_t = 2 under the CLI's heap policy (procs.keep_freed_memory), blocks of
-# 1024 took about 20% longer and blocks of 4096 the same time within noise,
-# with no page faults either way (2-vCPU x86-64, numpy 2.4). Without the
-# policy glibc trims and re-faults the temporaries, and blocks of 4096 took
-# twice the faults of 2048 (234 against 117 per search) and 5-15% longer.
-# With two verify workers sharing the cache (2 vCPUs, 1000 instances at
-# seed 7, two sets of 10 alternating rounds), 2048 took a median of 1.165
-# and 1.151 s, 1024 took 1.230 and 1.195 s (faster in 4 and 3 of 10
-# rounds) and 4096 took 1.094 and 1.087 s (faster in 6 and 7 of 10): no
-# size won 9 of 10, so 2048 stays.
-_SAMPLE_BLOCK = 2048
+# Entries (candidates x n_t) per filter block: each block's temporaries stay
+# cache-sized, and verify's default 10 000 candidates at n_t = 2 make one
+# block, whose 30 or so numpy calls are not bound by call overhead. In one
+# process at n_t = 2 (2-vCPU x86-64, numpy 2.4), 1000 filters took 0.71 s in
+# blocks of 4096 entries, 0.62 s in blocks of 32768 and 0.65 s in 65536.
+_FILTER_ENTRIES = 1 << 15
 # The bounds above are relative, so the filter needs every value it compares
 # to be a normal float. A nonzero candidate has ||w||^2 >= 1e-16 (r_j >= 1e-8
 # for u1 <= 1 - 2**-53), so gains of at least _SAMPLE_FLOOR keep every
@@ -148,7 +142,8 @@ def _sampling_filter(h_d, a, eps, U1, U2):
     candidate scores NaN and stays in rows for the exact scan to skip.
     rows is None, for all of them, at n_t = 1 (every candidate is the same
     direction) and where the floats leave the range the bounds need (see
-    _SAMPLE_FLOOR).
+    _SAMPLE_FLOOR). x'^2 and y'^2 are computed in blocks of about
+    _FILTER_ENTRIES entries, and both ends once over every candidate.
     """
     samples, n_t = U1.shape
     h_d = np.asarray(h_d, dtype=np.complex128)
@@ -164,10 +159,10 @@ def _sampling_filter(h_d, a, eps, U1, U2):
     Ms = np.stack((h_d.imag, h_d.real, a.imag, a.real), axis=1)
     ones = np.ones(n_t)
     gains = np.empty((2, samples))  # x'^2 and y'^2 of every candidate
-    g_hi = np.empty(samples)
+    step = max(1, _FILTER_ENTRIES // n_t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, samples, _SAMPLE_BLOCK):
-            blk = slice(lo, lo + _SAMPLE_BLOCK)
+        for lo in range(0, samples, step):
+            blk = slice(lo, lo + step)
             r2 = -np.log(U1[blk])
             r = np.sqrt(r2)
             t = (2.0 * np.pi * U2[blk]).astype(np.float32)
@@ -178,10 +173,9 @@ def _sampling_filter(h_d, a, eps, U1, U2):
             np.add(P[:, 0], P[:, 1], out=q[0])
             np.add(P[:, 2], P[:, 3], out=q[1])
             q /= r2 @ ones
-            # the high downlink end with the low leakage end, and at the
-            # end the reverse
-            g_hi[blk] = _backed_off_gain(q[0] + widen_x, np.maximum(q[1] - widen_y, 0.0), eps)
         x2, y2 = gains
+        # the high downlink end with the low leakage end, and the reverse
+        g_hi = _backed_off_gain(x2 + widen_x, np.maximum(y2 - widen_y, 0.0), eps)
         g_lo = _backed_off_gain(np.maximum(x2 - widen_x, 0.0), y2 + widen_y, eps)
         best_lo = float(np.fmax.reduce(g_lo))
         if not best_lo >= _SAMPLE_FLOOR:
@@ -197,8 +191,11 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     Directions are normalized i.i.d. complex Gaussians; any candidate whose
     unit-power leakage exceeds the cap is backed off in power until the
     leakage sits exactly on it, so every sample yields a feasible candidate.
-    Deterministic given rng, and a Generator ends 2 * samples * n_t
-    uniforms further on.
+    The draw takes 2 * samples * n_t uniforms (numerics.box_muller_uniforms):
+    an RngState's come from the start of its stream, a long one through
+    numerics.stream_uniforms, the drawer sweeps use too, and a Generator
+    ends that many uniforms further on. Both give the same result for the
+    same stream, bit for bit.
 
     Two passes over the draw give the result of one exact scan of every
     candidate: _sampling_filter bounds every candidate's gain with float32
@@ -217,9 +214,8 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     a = realization.effective_si_vector()
     eps = realization.epsilon
     n_t = h_d.shape[0]
-    gen = rng.generator() if isinstance(rng, RngState) else rng
     U1, U2 = (u.reshape(samples, n_t)
-              for u in box_muller_uniforms(gen, samples * n_t))
+              for u in box_muller_uniforms(rng, samples * n_t))
     rows, filtered_violation = _sampling_filter(h_d, a, eps, U1, U2)
     if rows is not None:
         U1, U2 = U1[rows], U2[rows]

@@ -531,6 +531,20 @@ class TestVerifyWorkers:
         monkeypatch.setattr(fdbf.procs.threading, "active_count", lambda: 2)
         assert fdbf.procs.worker_count(10) == 1  # fork would copy held locks
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_si_channel_is_a_usage_error(self, cpus, capsys, n):
+        # ||a||^2 of some instance is subnormal; with two CPUs a worker
+        # raises it, and the caller reports it as a usage error
+        forks = cpus(n)
+        assert main(["verify", "--omega-db=-3080", "--instances", "20",
+                     "--samples", "100", "--grid-points", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: omega_db = -3080.0 makes ||a||^2 subnormal in "
+                       "some draw, too small to solve with; raise --omega-db\n")
+        assert len(forks) == (2 if n == 2 else 0)
+        assert_no_children()
+
     def test_samples_bound_counts_every_worker(self, cpus, monkeypatch, capsys):
         # 10**6 samples at n_t = 2 need 32 MB per process: 48 MB holds one
         # worker's candidates but not two
@@ -592,6 +606,71 @@ class TestSweepWorkers:
         self.run("n_t sweep", tmp_path)
         assert forks == []
         assert "\n# workers = 1\n" in (tmp_path / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_si_channel_is_a_usage_error(self, cpus, capsys, tmp_path, n):
+        forks = cpus(n)
+        assert main(["sweep", "--omega-db=-3080", "--trials", "100",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: omega_db = -3080.0 makes ||a||^2 subnormal in some draw, "
+            "too small to solve with; raise --omega-db\n")
+        assert len(forks) == (2 if n == 2 else 0)
+        assert not (tmp_path / "tg.csv").exists()
+        assert_no_children()
+
+
+# Runs one command on two workers in a fresh interpreter, as the cpus fixture
+# would, and prints what the workers imported: the names in each worker's
+# sys.modules that its parent lacked when it forked, and the worker pids.
+_WORKER_IMPORTS = """
+import json, os, sys
+import fdbf.cli, fdbf.procs as procs
+procs.blas = "one thread"
+os.sched_getaffinity = lambda pid: {0, 1}
+real = procs.fork_stages
+new, pids = set(), set()
+
+def spying(stages, workers=1):
+    before = set(sys.modules)
+
+    def report(fn):
+        return lambda x: (fn(x), os.getpid(), sorted(set(sys.modules) - before))
+
+    out = real([(report(fn), items) for fn, items in stages], workers)
+    for stage in out:
+        for _, pid, names in stage:
+            pids.add(pid)
+            new.update(names)
+    return [[result for result, _, _ in stage] for stage in out]
+
+procs.fork_stages = spying
+rc = fdbf.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "new": sorted(new), "parent": os.getpid(),
+                  "pids": sorted(pids)}))
+"""
+
+
+class TestWorkerImports:
+    # a worker that imports a module its parent did not (numpy.random, with
+    # secrets, hashlib and OpenSSL behind it) pays for it on every call; a
+    # fresh interpreter shows it, where this one has imported them already
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--instances", "20", "--samples", "100",
+         "--grid-points", "100"],
+        # 2 (2 + 16 + 32) = 100 words a trial: the long-stream drawer
+        ["sweep", "--nt", "16", "--trials", "300", "--c-db", "-120,-110"],
+    ], ids=["verify", "long-stream sweep"])
+    def test_workers_import_nothing_new(self, tmp_path, argv):
+        if argv[0] == "sweep":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        done = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS, *argv],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=120, check=True)
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["rc"] == 0
+        assert report["pids"] and report["parent"] not in report["pids"]
+        assert report["new"] == []
 
 
 class TestBenchCommand:

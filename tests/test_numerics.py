@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ import fdbf.numerics
 from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
                            box_muller_join, box_muller_phase,
                            box_muller_radius, inner, matvec_adj, norm_sq,
-                           philox_raw, sample_complex_gaussian,
-                           stream_uniforms, uniforms)
+                           philox_raw, prepare_stream_drawer,
+                           sample_complex_gaussian, stream_uniforms, uniforms)
+from fdbf.procs import fork_map
 
 
 class TestInner:
@@ -135,6 +139,72 @@ class TestStreamUniforms:
         monkeypatch.setattr(fdbf.numerics, "philox_raw", counting)
         stream_uniforms(3, [0, 1], m)
         assert bool(calls) == vectorized
+
+
+class TestStreamDrawer:
+    """The long-stream drawer is kept per thread; no draw may depend on it."""
+
+    M = _LONG_STREAM + 37
+
+    def assert_fresh(self, seed, streams, m):
+        u = stream_uniforms(seed, streams, m)
+        for row, stream in zip(u, streams):
+            np.testing.assert_array_equal(
+                row, RngState(seed, stream).generator().random(m))
+
+    def test_rows_after_other_draws(self):
+        for seed, streams, m in [(1, [4, 2**64 - 1], 500), (2**64 - 1, [0], self.M),
+                                 (9, [3, 3, 8], _LONG_STREAM), (0, [1], 5)]:
+            stream_uniforms(seed, streams, m)
+            self.assert_fresh(7, [2**63, 0, 11], self.M)
+
+    def test_two_threads_at_once(self):
+        # a short switch interval lets one thread run between the other's
+        # key reset and its draw, which a shared drawer would not survive
+        start = threading.Barrier(2)
+        errors = []
+
+        def draw(seed):
+            try:
+                start.wait(timeout=30)
+                for k in range(100):
+                    self.assert_fresh(seed, [k, k + 1, k + 2, 2**64 - 1 - k], self.M + k)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(seed,)) for seed in (3, 4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_forked_child_after_the_parent_drew(self):
+        stream_uniforms(5, [1, 2], self.M)
+        drawer = id(fdbf.numerics._thread.drawer)
+        streams = [7, 2**64 - 1]
+
+        def child(seed):
+            inherited = id(getattr(fdbf.numerics._thread, "drawer", None))
+            return os.getpid(), inherited, stream_uniforms(seed, streams, self.M)
+
+        for seed, (pid, inherited, u) in zip((5, 6), fork_map(child, (5, 6), workers=2)):
+            assert pid != os.getpid() and inherited == drawer
+            np.testing.assert_array_equal(u, np.array(
+                [RngState(seed, s).generator().random(self.M) for s in streams]))
+
+    def test_prepare_makes_the_drawer_for_long_streams_only(self, monkeypatch):
+        monkeypatch.setattr(fdbf.numerics, "_thread", threading.local())
+        prepare_stream_drawer(_LONG_STREAM - 1)
+        assert not hasattr(fdbf.numerics._thread, "drawer")
+        prepare_stream_drawer(_LONG_STREAM)
+        assert hasattr(fdbf.numerics._thread, "drawer")
 
 
 def _box_muller_product(u1, u2):

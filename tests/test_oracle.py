@@ -154,6 +154,19 @@ class TestRandomFeasibleSearch:
         r2 = random_feasible_search(canonical, 500, RngState(77))
         assert r1.best_rate == r2.best_rate
 
+    @pytest.mark.parametrize("n_t", [1, 2, 8])
+    @pytest.mark.parametrize("samples", [1, 23, 24, 500, 10_000])
+    def test_state_and_its_generator_give_the_same_bits(self, n_t, samples):
+        # 2 samples n_t words: at n_t = 2, 23 samples take the state's own
+        # Generator and 24 the long-stream drawer
+        for i in range(2):
+            r = realization_at(n_t, i)
+            reports = [random_feasible_search(r, samples, rng) for rng in
+                       (RngState(3, 1_000_000 + i),
+                        RngState(3, 1_000_000 + i).generator())]
+            assert len({(rep.best_rate.hex(), float(rep.max_violation).hex(),
+                         rep.samples_tested) for rep in reports}) == 1
+
     def test_rejects_zero_samples(self, canonical):
         with pytest.raises(ValueError):
             random_feasible_search(canonical, 0, RngState(0))
@@ -290,9 +303,28 @@ class TestRandomFeasibleSearchIsExhaustive:
         assert_exhaustive(r.replace(h_d=np.zeros_like(r.h_d)), 2049,
                           lambda: RngState(11, 0).generator())
 
-    def test_all_zero_candidate_rows(self):
-        # U = 0 makes u1 = 1, a zero radius: the whole row is a zero vector
+    @pytest.mark.parametrize("n_t", [2, 3])
+    @pytest.mark.parametrize("samples", [2047, 2048, 2049, 4100])
+    def test_across_filter_blocks(self, monkeypatch, n_t, samples):
+        # blocks of 2048 candidates: one short block, one full block, or
+        # full blocks and a last one of 1 or 4 candidates. All-zero
+        # candidates score NaN and stay in rows, so they mark the first and
+        # last rows of each block as scored
+        monkeypatch.setattr(oracle, "_FILTER_ENTRIES", 2048 * n_t)
+        zeros = sorted({0, 2047, 2048, 4095, 4096, samples - 1} & set(range(samples)))
+        rng = np.random.default_rng(samples)
+        for i in range(2):
+            u, u2 = rng.random((samples, n_t)), rng.random(samples * n_t)
+            u[zeros] = 0.0
+            rows = assert_exhaustive(realization_at(n_t, i), samples,
+                                     lambda: _Uniforms(u.ravel(), u2))
+            assert set(zeros) <= set(rows) and len(rows) <= len(zeros) + 20
+
+    def test_all_zero_candidate_rows(self, monkeypatch):
+        # U = 0 makes u1 = 1, a zero radius: the whole row is a zero vector,
+        # here on both sides of a filter block boundary
         n_t, samples = 3, 4100
+        monkeypatch.setattr(oracle, "_FILTER_ENTRIES", 2048 * n_t)
         rng = np.random.default_rng(12)
         u, u2 = rng.random((samples, n_t)), rng.random(samples * n_t)
         u[[0, 5, 2047, 2048, samples - 1]] = 0.0
