@@ -451,9 +451,7 @@ def cmd_verify(settings):
                     perturb_alpha=settings.perturb_alpha,
                     rho=db_to_linear(cfg.rho_db))
     tasks = enumerate(draw_realizations(cfg, settings.instances))
-    # the sampling oracle's stream of 2 samples n_t words: its drawer is made
-    # here, once, for every worker to inherit
-    prepare_stream_drawer(2 * settings.samples * cfg.n_t)
+    prepare_stream_drawer()  # the sampling oracle's: workers inherit it
     try:
         verdicts = procs.fork_map(check, tasks, settings.workers)
     except SubnormalLeakageError:

@@ -37,9 +37,9 @@ from . import kernels
 from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
                       ricean_params, si_threshold)
-from .numerics import (RngState, box_muller_join, box_muller_phase,
-                       box_muller_radius, prepare_stream_drawer,
-                       stream_uniforms)
+from .numerics import (_LONG_STREAM, RngState, box_muller_join,
+                       box_muller_phase, box_muller_radius,
+                       prepare_stream_drawer, stream_uniforms)
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -417,7 +417,8 @@ def run_sweep(cfg, axes=None, workers=1):
     chunks = range(-(-n // _chunk_trials(cfg.n_r, max(n_ts))))
     columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
     stages = [(solve, chunks), (aggregate, columns)]
-    prepare_stream_drawer(_stream_words(cfg.n_r, max(n_ts)))  # workers inherit it
+    if _stream_words(cfg.n_r, max(n_ts)) >= _LONG_STREAM:
+        prepare_stream_drawer()  # stream_uniforms's drawer: workers inherit it
     aggregates = iter(procs.fork_stages(stages, workers)[1])
     points = {}
     for n_t in n_ts:

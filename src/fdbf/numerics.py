@@ -10,11 +10,11 @@ can own an independent stream addressed by (seed, stream id), whichever
 process or thread draws it. `stream_uniforms` draws the first uniforms of
 many such streams, bit-identical to numpy's generator: long streams one at
 a time through numpy's own Philox, short ones all at once through
-`philox_raw`, a vectorized Philox4x64-10. The long-stream drawer is one
-numpy Philox per thread, made on first use and kept: every stream resets
-its key, counter and buffer, so no draw depends on the one before it. A
-caller about to fork makes it first (`prepare_stream_drawer`), and its
-children inherit it.
+`philox_raw`, a vectorized Philox4x64-10. The drawer behind the long
+streams, and behind every draw from an `RngState`, is one numpy Philox per
+thread, made on first use and kept: every stream resets its key, counter
+and buffer, so no draw depends on the one before it. A caller about to
+fork makes it first (`prepare_stream_drawer`), and its children inherit it.
 """
 
 import threading
@@ -159,11 +159,10 @@ _LONG_STREAM = 96
 _thread = threading.local()
 
 
-def _long_stream_drawer():
-    """This thread's (Philox, Generator, fresh state) for long streams,
-    made on its first call and kept. The state, read back from the new
-    Philox, has counter 0 and an empty buffer: set with a key, it starts
-    that key's stream."""
+def _drawer():
+    """This thread's (Philox, Generator, fresh state), made on its first
+    call and kept. The state, read back from the new Philox, has counter 0
+    and an empty buffer: set with a key, it starts that key's stream."""
     try:
         return _thread.drawer
     except AttributeError:
@@ -172,40 +171,47 @@ def _long_stream_drawer():
         return _thread.drawer
 
 
-def prepare_stream_drawer(m):
-    """Make the drawer stream_uniforms takes for streams of m words, now.
+def _stream_generator(seed, stream_id):
+    """This thread's Generator, set to the start of stream (seed, stream_id).
+
+    It draws what RngState(seed, stream_id).generator() draws, without a
+    new Philox and Generator, until this thread's next call resets it.
+    """
+    bit_gen, gen, state = _drawer()
+    key = state["state"]["key"]
+    key[0] = seed
+    key[1] = stream_id
+    bit_gen.state = state
+    return gen
+
+
+def prepare_stream_drawer():
+    """Make this thread's drawer now.
 
     numpy imports numpy.random, with secrets, hashlib and OpenSSL behind
     its entropy source, on first use. A caller about to fork calls this
     first, so that every child inherits the drawer and those modules
     instead of making them again on its first draw: on a 2-vCPU x86-64
     that took a verify worker's first instance from about 7 to 20-50 ms
-    and 900 to 1900 page faults. Streams shorter than _LONG_STREAM words
-    take no drawer, and nothing is made.
+    and 900 to 1900 page faults.
     """
-    if m >= _LONG_STREAM:
-        _long_stream_drawer()
+    _drawer()
 
 
 def stream_uniforms(seed, stream_ids, m):
     """First m uniforms of each stream (seed, s) for s in stream_ids.
 
     Row i equals RngState(seed, stream_ids[i]).generator().random(m) bit
-    for bit. Streams of at least _LONG_STREAM words are drawn by this
-    thread's numpy Philox, its fresh state set with key [seed, s] for each
-    stream s in turn. Shorter streams go through philox_raw, all at once.
+    for bit. Streams of at least _LONG_STREAM words are drawn one at a time
+    by this thread's drawer. Shorter streams go through philox_raw, all at
+    once.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     if m < _LONG_STREAM:
         return uniforms(philox_raw(seed, ids, m))
-    bit_gen, gen, state = _long_stream_drawer()
-    key = state["state"]["key"]
-    key[0] = seed
     out = np.empty((ids.size, m))
     for row, s in zip(out, ids):
-        key[1] = s
-        bit_gen.state = state
-        gen.random(out=row)
+        _stream_generator(seed, s).random(out=row)
     return out
 
 
@@ -252,18 +258,13 @@ def box_muller_uniforms(rng, n):
 
     u1 = 1 - U lies in (0, 1], which keeps log() finite; u2 lies in [0, 1).
     rng is a numpy Generator, which this advances by 2n words, or an
-    RngState, whose stream gives the same bits from its start: through
-    stream_uniforms's drawer when the 2n words make a long stream, and
-    through the state's own Generator when they do not, since philox_raw's
-    pass costs more than a new Generator for a single short stream.
+    RngState, whose stream this thread's drawer reads from its start: both
+    give the same bits for the same stream.
     """
-    if isinstance(rng, RngState) and 2 * n >= _LONG_STREAM:
-        u = stream_uniforms(rng.seed, [rng.stream_id], 2 * n)[0]
-        u1, u2 = u[:n], u[n:]
-    else:
-        gen = rng.generator() if isinstance(rng, RngState) else rng
-        u1 = gen.random(n)
-        u2 = gen.random(n)
+    if isinstance(rng, RngState):
+        rng = _stream_generator(rng.seed, rng.stream_id)
+    u1 = rng.random(n)
+    u2 = rng.random(n)
     np.subtract(1.0, u1, out=u1)
     return u1, u2
 

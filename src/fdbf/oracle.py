@@ -192,10 +192,10 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     unit-power leakage exceeds the cap is backed off in power until the
     leakage sits exactly on it, so every sample yields a feasible candidate.
     The draw takes 2 * samples * n_t uniforms (numerics.box_muller_uniforms):
-    an RngState's come from the start of its stream, a long one through
-    numerics.stream_uniforms, the drawer sweeps use too, and a Generator
-    ends that many uniforms further on. Both give the same result for the
-    same stream, bit for bit.
+    an RngState's come from the start of its stream, through the per-thread
+    drawer that numerics.stream_uniforms reads long streams with, and a
+    Generator ends that many uniforms further on. Both give the same result
+    for the same stream, bit for bit.
 
     Two passes over the draw give the result of one exact scan of every
     candidate: _sampling_filter bounds every candidate's gain with float32

@@ -658,9 +658,12 @@ class TestWorkerImports:
     @pytest.mark.parametrize("argv", [
         ["verify", "--instances", "20", "--samples", "100",
          "--grid-points", "100"],
+        # 2 samples n_t = 80 words: a short stream, drawn by the same drawer
+        ["verify", "--instances", "20", "--samples", "20",
+         "--grid-points", "100"],
         # 2 (2 + 16 + 32) = 100 words a trial: the long-stream drawer
         ["sweep", "--nt", "16", "--trials", "300", "--c-db", "-120,-110"],
-    ], ids=["verify", "long-stream sweep"])
+    ], ids=["verify", "short-samples verify", "long-stream sweep"])
     def test_workers_import_nothing_new(self, tmp_path, argv):
         if argv[0] == "sweep":
             argv = argv + ["--out-dir", str(tmp_path)]

@@ -9,7 +9,7 @@ import pytest
 import fdbf.numerics
 from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
                            box_muller_join, box_muller_phase,
-                           box_muller_radius, inner, matvec_adj, norm_sq,
+                           box_muller_radius, box_muller_uniforms, inner, matvec_adj, norm_sq,
                            philox_raw, prepare_stream_drawer,
                            sample_complex_gaussian, stream_uniforms, uniforms)
 from fdbf.procs import fork_map
@@ -199,12 +199,28 @@ class TestStreamDrawer:
             np.testing.assert_array_equal(u, np.array(
                 [RngState(seed, s).generator().random(self.M) for s in streams]))
 
-    def test_prepare_makes_the_drawer_for_long_streams_only(self, monkeypatch):
+    def test_prepare_makes_the_drawer(self, monkeypatch):
         monkeypatch.setattr(fdbf.numerics, "_thread", threading.local())
-        prepare_stream_drawer(_LONG_STREAM - 1)
-        assert not hasattr(fdbf.numerics._thread, "drawer")
-        prepare_stream_drawer(_LONG_STREAM)
+        prepare_stream_drawer()
         assert hasattr(fdbf.numerics._thread, "drawer")
+
+    @pytest.mark.parametrize("n", [1, 5, _LONG_STREAM // 2 - 1, _LONG_STREAM // 2, 300])
+    def test_a_state_draws_through_the_drawer_at_any_length(self, monkeypatch, n):
+        state = RngState(2**64 - 1, 9)
+        gen = state.generator()
+        u1, u2 = 1.0 - gen.random(n), gen.random(n)
+        stream_uniforms(4, [1, 2], self.M)  # leave the drawer on another stream
+        drawer = fdbf.numerics._thread.drawer
+
+        def refuse(_):
+            raise AssertionError("a new Generator was made")
+
+        monkeypatch.setattr(RngState, "generator", refuse)
+        for _ in range(2):
+            got = box_muller_uniforms(state, n)
+            np.testing.assert_array_equal(got[0], u1)
+            np.testing.assert_array_equal(got[1], u2)
+        assert fdbf.numerics._thread.drawer is drawer
 
 
 def _box_muller_product(u1, u2):

@@ -157,8 +157,8 @@ class TestRandomFeasibleSearch:
     @pytest.mark.parametrize("n_t", [1, 2, 8])
     @pytest.mark.parametrize("samples", [1, 23, 24, 500, 10_000])
     def test_state_and_its_generator_give_the_same_bits(self, n_t, samples):
-        # 2 samples n_t words: at n_t = 2, 23 samples take the state's own
-        # Generator and 24 the long-stream drawer
+        # 2 samples n_t words: at n_t = 2, 23 samples make a short stream
+        # and 24 a long one, both read by the drawer
         for i in range(2):
             r = realization_at(n_t, i)
             reports = [random_feasible_search(r, samples, rng) for rng in
