@@ -59,16 +59,16 @@ class BeamformerSolution:
     """A transmit vector with its audit quantities.
 
     w: transmit vector; dl_gain: |h_d^H w|^2; norm_w: ||w||;
-    alpha: position on the matched-to-nulled family, None for beamformers
-    not defined through it; si_power: |v^H H w|^2, None when no leakage
-    context applies; degenerate: the nulled direction vanished.
+    alpha: position on the matched-to-nulled family; si_power: |v^H H w|^2,
+    None when no leakage context applies; degenerate: the nulled direction
+    vanished.
     """
 
     w: np.ndarray
     dl_gain: float
     norm_w: float
-    alpha: Optional[float] = None
-    si_power: Optional[float] = None
+    alpha: float
+    si_power: Optional[float]
     degenerate: bool = False
 
 

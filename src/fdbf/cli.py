@@ -26,7 +26,8 @@ config file of every flag its command reads, so
 reproduces the CSV byte-for-byte (timing CSVs reproduce in shape, not in
 measured nanoseconds). `main` sets two process-wide policies once (see
 procs): freed memory stays in the C heap, and OpenBLAS runs on one thread.
-Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 I/O error;
+`main` is the one place an exception becomes one.
 """
 
 import argparse
@@ -48,7 +49,7 @@ from . import __version__, procs
 from .beamform import (DegenerateParallelError, SubnormalLeakageError, dl_rate,
                        family, optimal)
 from .channel import SystemConfig, db_to_linear, si_threshold
-from .experiment import SweepAxes, draw_realizations, run_sweep
+from .experiment import SweepAxes, ZeroRateError, draw_realizations, run_sweep
 from .numerics import RngState, prepare_stream_drawer
 from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 
@@ -148,7 +149,7 @@ class Flag(NamedTuple):
     help: str
     step: int = 0             # axis: the step a lo..hi range defaults to
     least: int = 1            # count: the smallest value accepted
-    most: Optional[int] = _MAX_COUNT  # count: the largest, None for no bound
+    most: int = _MAX_COUNT    # count: the largest value accepted
 
 
 _AXIS_HELP = "scalar, list, or lo..hi[:step] (step {step})"
@@ -168,7 +169,7 @@ FLAGS = {
     "samples": Flag("count", 10000, "random candidates per realization"),
     "perturb_alpha": Flag("number", 0.0, "negative control: offset added to alpha*"),
     "repeats": Flag("count", 200, "realizations timed per size"),
-    "threads": Flag("count", 1, "ignored; kept for old manifests", most=None),
+    "threads": Flag("count", 1, "ignored; kept for old manifests"),
     "out_dir": Flag("path", Path("."), "output directory"),
 }
 
@@ -196,7 +197,7 @@ def _parse(key, text):
             raise UsageError(f"seed must lie in [0, 2**64), got {value}")
     elif value < flag.least:
         raise UsageError(f"{key} must be >= {flag.least}")
-    elif flag.most is not None and value > flag.most:
+    elif value > flag.most:
         raise UsageError(f"{key} must be <= {_BOUND_TEXT[flag.most]}")
     return value
 
@@ -328,14 +329,6 @@ def _write_manifest(settings, outputs):
     _write_text(settings.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
-def _weak_si_channel(settings):
-    """The usage error for a draw whose ||a||^2 = ||H^H v||^2 is subnormal,
-    which the closed form cannot split h_d by: a tiny omega_db makes one."""
-    return UsageError(f"omega_db = {settings.omega_db!r} makes ||a||^2 "
-                      f"subnormal in some draw, too small to solve with; "
-                      f"raise --omega-db")
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
@@ -346,12 +339,12 @@ def cmd_sweep(settings):
     if len(settings.nt) > 1 and len(settings.c_db) > 1:
         raise UsageError("sweep supports one swept axis besides --rho-db; "
                          "--nt and --c-db cannot both be ranges")
+    if min(settings.nt) < 2:
+        raise UsageError("sweep needs --nt >= 2: zero-forcing, the baseline "
+                         "of both ratios, is undefined at one antenna")
     axes = SweepAxes(tuple(settings.nt), tuple(settings.rho_db),
                      tuple(settings.c_db))
-    try:
-        result = run_sweep(settings.base_config(), axes, settings.workers)
-    except SubnormalLeakageError:
-        raise _weak_si_channel(settings) from None
+    result = run_sweep(settings.base_config(), axes, settings.workers)
     c_axis_swept = len(settings.c_db) > 1
     out = settings.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -413,11 +406,11 @@ def _certify(task, *, seed, grid_points, samples, perturb_alpha, rho):
             cand = sol
     rate_c = dl_rate(cand.w, r.h_d, rho)
 
-    if not feasible(cand.w, r, tol=1e-9):
+    if not feasible(cand.w, r):
         reasons.append(f"candidate infeasible: si={cand.si_power!r} "
                        f"norm={cand.norm_w!r} eps={r.epsilon!r}")
     activity = 0.0
-    if cand.alpha is not None and cand.alpha > 0.0 and cand.si_power is not None:
+    if cand.alpha > 0.0:
         activity = abs(cand.si_power - r.epsilon) / r.epsilon
         if activity > 1e-6:
             reasons.append(f"SI constraint not active at alpha={cand.alpha}: "
@@ -452,10 +445,7 @@ def cmd_verify(settings):
                     rho=db_to_linear(cfg.rho_db))
     tasks = enumerate(draw_realizations(cfg, settings.instances))
     prepare_stream_drawer()  # the sampling oracle's: workers inherit it
-    try:
-        verdicts = procs.fork_map(check, tasks, settings.workers)
-    except SubnormalLeakageError:
-        raise _weak_si_channel(settings) from None
+    verdicts = procs.fork_map(check, tasks, settings.workers)
     n_failures = 0
     worst_grid_slack = math.inf
     worst_sample_slack = math.inf
@@ -527,7 +517,15 @@ def main(argv=None):
     procs.hold_blas_to_one_thread()
     try:
         ns = build_parser().parse_args(argv)
-        return COMMANDS[ns.command].run(Settings(ns))
+        settings = Settings(ns)
+        try:
+            return COMMANDS[ns.command].run(settings)
+        except SubnormalLeakageError:  # ||H^H v||^2 too small to split h_d by
+            raise UsageError(f"omega_db = {settings.omega_db!r} makes ||a||^2 "
+                             f"subnormal in some draw, too small to solve "
+                             f"with; raise --omega-db") from None
+        except ZeroRateError as exc:
+            raise UsageError(f"{exc}; raise --rho-db") from None
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

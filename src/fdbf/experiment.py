@@ -45,6 +45,10 @@ from .numerics import (_LONG_STREAM, RngState, box_muller_join,
 _Z95 = 1.959963984540054
 
 
+class ZeroRateError(ValueError):
+    """Some trial's zero-forcing rate log2(1 + rho g_zf) rounds to 0."""
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One Monte Carlo trial: both beamformers on one channel draw.
@@ -257,18 +261,17 @@ def _draws(cfg, trials, n_ts, chunks=None):
             yield _Draw(slice(lo, hi), n_t, h_u, h_d, H, v, a)
 
 
-def draw_batch(cfg, trials=None):
-    """Channel geometry for `trials` independent draws, one RNG stream each.
+def draw_batch(cfg):
+    """Channel geometry for cfg.trials independent draws, one RNG stream each.
 
     Returns (h_d, a) of shape (trials, n_t): the downlink channels and the
     effective leakage directions a = H^H v. Row t is bit-identical to
     draw_realization(cfg, RngState(cfg.seed, t)). This is the one-n_t view
     of the chunk drawer run_sweep solves from, with every chunk kept.
     """
-    n = cfg.trials if trials is None else int(trials)
-    h_d = np.empty((n, cfg.n_t), dtype=np.complex128)
-    a = np.empty((n, cfg.n_t), dtype=np.complex128)
-    for d in _draws(cfg, n, (cfg.n_t,)):
+    h_d = np.empty((cfg.trials, cfg.n_t), dtype=np.complex128)
+    a = np.empty((cfg.trials, cfg.n_t), dtype=np.complex128)
+    for d in _draws(cfg, cfg.trials, (cfg.n_t,)):
         h_d[d.rows], a[d.rows] = d.h_d, d.a
     return h_d, a
 
@@ -346,7 +349,7 @@ def _mean_ci(values):
     math.fsum's bits. The squared deviations are libm pow's, as a Python
     float's ** 2 gives them. So the result is that of the scalar
     fsum-and-** 2 form bit for bit. Raises ValueError on a value that is
-    not finite, so a NaN never becomes a CSV cell.
+    not finite; an empty array, where every trial was excluded, gives NaN.
     """
     m = len(values)
     if m == 0:
@@ -371,7 +374,8 @@ def run_sweep(cfg, axes=None, workers=1):
     the zero-forcing flags are kept. The zero-forcing rates are computed
     once per (n_t, rho) and the gain ratios once per (n_t, c) and reused
     across rho, so the power-saving column is bit-identical along the rho
-    axis by construction. Deterministic given (cfg.seed, axes).
+    axis by construction. Deterministic given (cfg.seed, axes). Raises
+    ZeroRateError where some trial's zero-forcing rate rounds to 0.
 
     `workers` processes, forked once, share the work through two stages of
     procs.fork_stages: each draws and solves a range of chunks into shared
@@ -404,7 +408,12 @@ def run_sweep(cfg, axes=None, workers=1):
     def zero_forcing(j):
         keep = np.flatnonzero(zf_ok[j])
         g_zf = gain_zf[j, keep]
-        return keep, g_zf, [np.log2(1.0 + rho * g_zf) for rho in rhos]
+        rate_zf = [np.log2(1.0 + rho * g_zf) for rho in rhos]
+        for rho_db, rate in zip(axes.rho_db, rate_zf):
+            if not rate.all():
+                raise ZeroRateError(f"rho_db = {float(rho_db)!r} rounds some "
+                                    f"trial's zero-forcing rate to 0")
+        return keep, g_zf, rate_zf
 
     def aggregate(column):
         j, k = column

@@ -26,14 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .beamform import _leakage_split, si_power
+from .beamform import si_power
 from .numerics import box_muller, box_muller_uniforms, norm_sq
-
-# Grid feasibility slack. Has to admit exact boundary candidates whose
-# leakage lands last-ulp above the cap (so the alpha* grid point itself is
-# never rejected) while keeping any accepted overshoot far below the 1e-9
-# report invariant; 1e-12 absolute does both for caps down to 1e-6.
-GRID_FEAS_TOL = 1e-12
 
 # The sampling filter. A candidate is w = r (cos t + i sin t) entrywise, from
 # an exact float64 radius r and phase t; the filter takes w' with float32
@@ -87,27 +81,26 @@ class OracleReport:
     degenerate: bool = False
 
 
-def feasible(w, realization, tol=1e-9):
-    """True iff w meets both constraints up to tol: SI cap and unit power."""
+def feasible(w, realization):
+    """True iff w meets both constraints up to 1e-9: SI cap and unit power."""
     w = np.asarray(w, dtype=np.complex128)
     si = si_power(w, realization.H, realization.v)
-    return si <= realization.epsilon + tol and norm_sq(w) <= 1.0 + tol
+    return si <= realization.epsilon + 1e-9 and norm_sq(w) <= 1.0 + 1e-9
 
 
-def grid_search(realization, grid_points, rho=1.0, tol=GRID_FEAS_TOL):
+def grid_search(realization, grid_points, rho=1.0):
     """Scan the matched-to-nulled family on a uniform alpha grid.
 
-    Deterministic. Keeps candidates whose leakage is within tol of the cap
-    and returns the best by downlink rate at SNR rho. An all-infeasible grid
-    (parallel corner) comes back flagged degenerate with best_rate = -inf.
+    Deterministic. Keeps candidates whose leakage is within
+    kernels.GRID_FEAS_TOL of the cap and returns the best by downlink rate
+    at SNR rho. An all-infeasible grid (parallel corner) comes back flagged
+    degenerate with best_rate = -inf.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    h_d = realization.h_d
-    a = realization.effective_si_vector()
-    p = _leakage_split(h_d, a)[0]
     best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
-        h_d, p, a, realization.epsilon, int(grid_points), float(tol))
+        realization.h_d, realization.effective_si_vector(),
+        realization.epsilon, int(grid_points))
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"),
                             samples_tested=int(grid_points),
@@ -249,29 +242,23 @@ def timing_bench(realizations, grid_points, passes=5):
     """
     if not realizations:
         raise ValueError("need at least one realization")
-    closed_inputs = []
-    grid_inputs = []
-    for r in realizations:
-        h_d = np.ascontiguousarray(r.h_d, dtype=np.complex128)
-        H = np.ascontiguousarray(r.H, dtype=np.complex128)
-        v = np.ascontiguousarray(r.v, dtype=np.complex128)
-        closed_inputs.append((h_d, H, v, float(r.epsilon)))
-        grid_inputs.append((h_d, H, v, float(r.epsilon), int(grid_points)))
+    cvec = kernels._cvec
+    inputs = [(cvec(r.h_d), cvec(r.H), cvec(r.v), float(r.epsilon))
+              for r in realizations]
+    n_grid = int(grid_points)
 
-    def run_grid(h_d, H, v, eps, n_grid):
-        a = H.conj().T @ v
-        return kernels.grid_scan(h_d, _leakage_split(h_d, a)[0], a, eps, n_grid,
-                                 GRID_FEAS_TOL)
+    def run_grid(h_d, H, v, eps):
+        return kernels.grid_scan(h_d, H.conj().T @ v, eps, n_grid)
 
-    kernels.solve_one(*closed_inputs[0])
-    run_grid(*grid_inputs[0])
+    kernels.solve_one(*inputs[0])
+    run_grid(*inputs[0])
     closed, grid = [], []
     for k in range(passes):
         if k % 2 == 0:
-            closed.append(_per_solve_ns(kernels.solve_one, closed_inputs))
-            grid.append(_per_solve_ns(run_grid, grid_inputs))
+            closed.append(_per_solve_ns(kernels.solve_one, inputs))
+            grid.append(_per_solve_ns(run_grid, inputs))
         else:
-            grid.append(_per_solve_ns(run_grid, grid_inputs))
-            closed.append(_per_solve_ns(kernels.solve_one, closed_inputs))
+            grid.append(_per_solve_ns(run_grid, inputs))
+            closed.append(_per_solve_ns(kernels.solve_one, inputs))
     return (float(statistics.median(closed)), float(statistics.median(grid)),
             float(statistics.median(g / c for g, c in zip(grid, closed))))

@@ -352,9 +352,10 @@ class TestSweepCommand:
         (["--nt", "64", "--c-db", "-130..-80:5"],  # six row blocks
          {"tg.csv": "2c1470ce2f7613e2710d0fb9f96f1737c46f3f63f8a0971771d3d34dd87ed3c3",
           "ps.csv": "a97b834eb9d1ff56cf2c07ff10c6fc83bc8c507fcdf91a504ed65633d5d1275c"}),
-        (["--nt", "1..9:2", "--c-db", "-120"],
-         {"tg.csv": "60864a35bb716542391684b3dc941d077ffff4fe2ba7d9c3e1cd2b0be67b9004",
-          "ps.csv": "01310da7d51b694c7b8174e7558070189126800dedb63aaede42954a55de3043"}),
+        # from n_t = 3: a sweep at n_t = 1 is a usage error
+        (["--nt", "3..9:2", "--c-db", "-120"],
+         {"tg.csv": "02ac7dbbbc18f01caad0a97c163e090a21a7dc6f3d25a09d625671b16d192d1d",
+          "ps.csv": "f28520b9cdae8ea2c6d7027b7de32ebbad846b22b9ccb6197583f6965c0c2cec"}),
     ], ids=["c_axis", "nt_axis"])
     def test_output_bytes_are_pinned(self, tmp_path, axes, digests):
         rc = main(["sweep", *axes, "--rho-db", "-10..20", "--trials", "1500",
@@ -847,6 +848,28 @@ class TestTopLevel:
                           "-120,-110", "--nt", "2"])
         assert s.rho_db == [-10.0, 0.0, 10.0, 20.0]
         assert s.c_db == [-120.0, -110.0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--omega-db=-3080", "--trials", "100"], "--omega-db"),
+        (["verify", "--omega-db=-3080", "--instances", "20", "--samples",
+          "100", "--grid-points", "100"], "--omega-db"),
+        (["bench", "--omega-db=-3080", "--repeats", "5", "--grid-points",
+          "10"], "--omega-db"),
+        (["sweep", "--rho-db=-140", "--trials", "1000"], "--rho-db"),
+        (["sweep", "--nt", "1", "--trials", "5"], "--nt"),
+    ], ids=["sweep_omega", "verify_omega", "bench_omega", "sweep_rho",
+            "sweep_nt1"])
+    def test_unsolvable_runs_end_in_one_error_line(self, tmp_path, capsys,
+                                                   argv, flag):
+        # values no draw can be solved or averaged at: main reports each as
+        # a usage error naming its flag, and nothing is written
+        out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
+        assert main(argv + out_dir) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self, tmp_path):
         out = subprocess.run(

@@ -521,10 +521,9 @@ class TestGridScan:
     def test_canonical_pinpoints_optimum(self):
         r = canonical_realization()
         a = matvec_adj(r.H, r.v)
-        p = a * (inner(a, r.h_d) / norm_sq(a))
         n_grid = 100001
         best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
-            r.h_d, p, a, r.epsilon, n_grid, 1e-12)
+            r.h_d, a, r.epsilon, n_grid)
         # smallest feasible grid alpha sits just above 2/3
         assert best_idx == 66667
         assert best_gain == pytest.approx(0.8, abs=1e-4)
@@ -535,9 +534,8 @@ class TestGridScan:
     def test_relaxed_cap_prefers_matched_filter(self):
         r = canonical_realization(epsilon=10.0)
         a = matvec_adj(r.H, r.v)
-        p = a * (inner(a, r.h_d) / norm_sq(a))
         best_idx, best_gain, n_feasible, _ = kernels.grid_scan(
-            r.h_d, p, a, r.epsilon, 501, 1e-12)
+            r.h_d, a, r.epsilon, 501)
         assert best_idx == 0
         assert best_gain == pytest.approx(1.0, abs=1e-12)
         assert n_feasible == 501
@@ -547,9 +545,8 @@ class TestGridScan:
         # every live grid point is infeasible and alpha = 1 has no direction
         h_d = np.array([2.0 + 0j, 2.0j])
         a = np.array([0.25 + 0j, 0.25j])
-        p = a * (inner(a, h_d) / norm_sq(a))
         best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
-            h_d, p, a, 0.1, 1001, 1e-12)
+            h_d, a, 0.1, 1001)
         assert best_idx == -1
         assert best_gain == -1.0
         assert n_feasible == 0
@@ -560,9 +557,8 @@ class TestGridScan:
         for _ in range(10):
             h_d, H, v, eps = random_instance(rng, n_t=4)
             a = matvec_adj(H, v)
-            p = a * (inner(a, h_d) / norm_sq(a))
-            n_grid, tol = 257, 1e-12
-            got = kernels.grid_scan(h_d, p, a, eps, n_grid, tol)
+            n_grid = 257
+            got = kernels.grid_scan(h_d, a, eps, n_grid)
 
             best_idx, best_gain, n_feasible = -1, -1.0, 0
             for g in range(n_grid):
@@ -570,7 +566,7 @@ class TestGridScan:
                     member = family(g / (n_grid - 1), h_d, a)
                 except DegenerateParallelError:
                     continue
-                if member.si_power <= eps + tol:
+                if member.si_power <= eps + kernels.GRID_FEAS_TOL:
                     n_feasible += 1
                     if member.dl_gain > best_gain:
                         best_gain = member.dl_gain
@@ -584,11 +580,10 @@ class TestGridScan:
         # pass over the whole grid would
         r = canonical_realization()
         a = matvec_adj(r.H, r.v)
-        p = a * (inner(a, r.h_d) / norm_sq(a))
         n_grid = kernels._GRID_CHUNK * 2 + 17
-        chunked = kernels.grid_scan(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
+        chunked = kernels.grid_scan(r.h_d, a, r.epsilon, n_grid)
         monkeypatch.setattr(kernels, "_GRID_CHUNK", n_grid)
-        whole = kernels.grid_scan(r.h_d, p, a, r.epsilon, n_grid, 1e-12)
+        whole = kernels.grid_scan(r.h_d, a, r.epsilon, n_grid)
         assert chunked == whole
         assert chunked[0] > 0 and chunked[2] > 0
 

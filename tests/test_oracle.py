@@ -8,7 +8,7 @@ from fdbf.beamform import family, mrt, optimal, zf
 from fdbf.channel import ChannelRealization, SystemConfig, draw_realization
 from fdbf.numerics import (RngState, box_muller, box_muller_uniforms, matvec_adj,
                            norm_sq)
-from fdbf.oracle import (GRID_FEAS_TOL, OracleReport, feasible, grid_search,
+from fdbf.oracle import (OracleReport, feasible, grid_search,
                          random_feasible_search, timing_bench)
 
 from conftest import canonical_realization, random_instance
@@ -47,7 +47,7 @@ class TestGridSearch:
         assert report.best_rate <= math.log2(1.8) + 1e-9
         assert report.samples_tested == 100001
         assert report.n_feasible == 33334
-        assert report.max_violation <= GRID_FEAS_TOL
+        assert report.max_violation <= kernels.GRID_FEAS_TOL
         best = family(report.best_alpha, canonical.h_d,
                       canonical.effective_si_vector())
         assert feasible(best.w, canonical)
