@@ -67,8 +67,6 @@ class SystemConfig:
                 raise ValueError(f"{name} must be finite")
         if math.isnan(self.k_factor_db):
             raise ValueError("k_factor_db must not be NaN")
-        if math.isinf(db_to_linear(self.rho_db)):
-            raise ValueError(f"rho_db = {self.rho_db!r} overflows a linear SNR")
         mean, std = ricean_params(self.k_factor_db, self.omega_db)
         if not (math.isfinite(mean) and math.isfinite(std)):
             raise ValueError(f"k_factor_db = {self.k_factor_db!r} and omega_db "
@@ -76,8 +74,12 @@ class SystemConfig:
                              f"Ricean mean or std is not finite")
         # a Box-Muller draw has |z|^2 = -log(u1) <= 53 ln 2 < 36.8, as
         # u1 >= 2**-53, so |z| < 6.07: ||h_d||^2 <= 36.8 n_t, and as ||v|| = 1,
-        # ||a||^2 = ||H^H v||^2 <= ||H||_F^2 <= n_t n_r (mean + 6.07 std)^2
+        # ||a||^2 = ||H^H v||^2 <= ||H||_F^2 <= n_t n_r (mean + 6.07 std)^2;
+        # a beamformer with ||w|| <= 1 has rho |h_d^H w|^2 <= rho ||h_d||^2
         entry = mean + 6.07 * std
+        if math.isinf(36.8 * self.n_t * db_to_linear(self.rho_db)):
+            raise ValueError(f"rho_db = {self.rho_db!r} can make rho ||h_d||^2 "
+                             f"overflow a float at n_t = {self.n_t}")
         if math.isinf(36.8 * self.n_t * self.n_t * self.n_r * entry * entry):
             raise ValueError(f"omega_db = {self.omega_db!r} (k_factor_db = "
                              f"{self.k_factor_db!r}) can make ||h_d||^2 "

@@ -92,9 +92,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(text, name):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise UsageError(f"{name}: expected a number, got {text!r}") from None
+        value = math.nan
+    if math.isnan(value):  # no flag has a use for NaN
+        raise UsageError(f"{name}: expected a number, got {text!r}")
+    return value
 
 
 def parse_axis(text, name, default_step, integer=False):
@@ -114,8 +117,13 @@ def parse_axis(text, name, default_step, integer=False):
             raise UsageError(f"{name}: step must be positive")
         if hi < lo:
             raise UsageError(f"{name}: range must be ascending")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        values = [lo + k * step for k in range(count)]
+        span = (hi - lo) / step + 1e-9  # may be huge or inf: bound it first
+        # a list pointer and a float object per value
+        size, memory = 32 * (span + 1.0), _physical_bytes()
+        if size > memory:
+            raise UsageError(f"{name} = {text} needs about {size:.0f} bytes, "
+                             f"more than the {memory} bytes of physical memory")
+        values = [lo + k * step for k in range(int(math.floor(span)) + 1)]
     elif "," in text:
         values = [_number(t, name) for t in text.split(",")]
     else:

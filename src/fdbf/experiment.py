@@ -146,7 +146,13 @@ def run_trial(cfg, trial_index):
 
 
 # raw words drawn per vectorized pass: keeps the temporaries of one pass
-# cache-sized and peak memory flat in the trial count
+# cache-sized and peak memory flat in the trial count. It alone bounds the
+# rows in flight, as kernels.solve_batch solves a chunk in one pass: a chunk
+# of floor(2**16 / 2 (n_r + top + n_r top)) trials has rows * n_t <
+# 2**15 / (1 + n_r) <= 2**14 entries, unless it is one trial. Under the
+# heap policy (procs.keep_freed_memory) a one-worker figure sweep took 209
+# page faults with half, this or twice this, in the same time within
+# noise; without it glibc re-faults its temporaries: 10.1k, 8.9k and 8k.
 _WORDS_PER_PASS = 1 << 16
 
 

@@ -18,9 +18,9 @@ in closed form from ||q||^2, ||p||^2 and |a^H h_d|^2. `_gram_gains` states
 that once, for `solve_one` on Python floats and `solve_batch` on arrays.
 
 `solve_batch` takes one cap or a 1-D axis of caps. A sweep over the SIC
-level hands it the whole axis in one call: the kernel computes the
-cap-independent geometry of each row block once, and each cap's values are
-bit-identical to a call with that cap alone.
+level hands it the whole axis in one call: one pass computes the rows'
+cap-independent geometry once, and each cap's values are bit-identical to
+a call with that cap alone.
 """
 
 import math
@@ -48,15 +48,6 @@ def _batch_rows(h_d, a):
         raise ValueError(f"h_d and a must be (n, n_t) arrays of the same shape "
                          f"with n_t >= 1, got {h_d.shape} and {a.shape}")
     return h_d, a
-
-
-# complex entries per row block of solve_batch: keeps a block's
-# temporaries cache-sized and peak memory flat in the trial count. Under
-# the CLI's heap policy (procs.keep_freed_memory) the one-cap figure sweep
-# takes 3-4 page faults per call with half, this or twice this, in the same
-# time within noise. Without the policy glibc trims and re-faults the
-# temporaries, and twice this took about 35% more faults (7455 against 5552).
-_BLOCK_ENTRIES = 1 << 14
 
 
 def _caps(eps):
@@ -116,94 +107,82 @@ def solve_batch(h_d, a, eps):
     vectors; zf_ok is False where zero-forcing is degenerate (h_d parallel
     to a). This is the vectorized form of beamform.closed_form.
 
-    Rows go in blocks of about _BLOCK_ENTRIES entries. Each block computes
-    its cap-independent geometry once, then alpha and the gains for all its
-    caps at once, elementwise: rows with alpha != 0 take them from
-    _gram_gains, in O(1) per (row, cap) pair, rows with alpha = 0 transmit
+    One pass computes the cap-independent geometry of every row once, then
+    alpha and the gains of every (cap, row) pair, elementwise: rows with
+    alpha != 0 take them from _gram_gains, rows with alpha = 0 transmit
     h_d itself, and rows with alpha = 1 transmit the zero-forcing vector
-    and report gain_zf. Every value is bit-identical to a solve with that
-    cap alone. Raises ValueError on h_d and a that are not 2-D of one
-    shape, on a cap that is not finite or below 0, on channels whose
-    ||h_d||^2 ||a||^2 is not finite or whose ||h_d||^4 is not a normal
-    float64 (h_d = 0 aside), and on a subnormal ||a||^2.
+    and report gain_zf. Each cap's values are bit-identical to a solve with
+    that cap alone, and a row's to a solve of that row alone, so callers
+    bound a call's memory by the rows they pass. Raises ValueError on h_d
+    and a that are not 2-D of one shape, on a cap that is not finite or
+    below 0, on channels whose ||h_d||^2 ||a||^2 is not finite or whose
+    ||h_d||^4 is not a normal float64 (h_d = 0 aside), and on a subnormal
+    ||a||^2.
     """
     h_d, a = _batch_rows(h_d, a)
     caps = _caps(eps)
-    e = caps.reshape(-1, 1)  # one row per cap, broadcast over a block's rows
-    m, (n, n_t) = len(e), h_d.shape
-    alpha = np.empty((m, n))
-    si_opt = np.empty((m, n))
-    gain_opt = np.empty((m, n))
-    norm_w = np.ones((m, n))
-    gain_zf = np.empty(n)
-    zf_ok = np.empty(n, dtype=bool)
-    rows = max(1, _BLOCK_ENTRIES // n_t)
-    for lo in range(0, n, rows):
-        blk = slice(lo, min(lo + rows, n))
-        h, ab = h_d[blk], a[blk]
-        hc, ac = h.conj(), ab.conj()
-        hh = _dot_rows(hc, h)
-        hd2 = hh.real
-        gram = _dot_rows(ac, ab).real
-        # the gains square hh and h_d^H q, and |h_d^H q| <= hd2
-        with np.errstate(over="ignore"):
-            hd4 = hd2 * hd2
-            big = ~(np.isfinite(hd2 * gram) & np.isfinite(hd4))
-        if (big | ((hd2 > 0.0) & (hd4 < _NORMAL_MIN))).any():
-            raise ValueError(_NOT_FINITE_BATCH)
-        if ((gram > 0.0) & (gram < _NORMAL_MIN)).any():
-            raise SubnormalLeakageError
-        c = _dot_rows(ac, h)
-        mag = c.real ** 2 + c.imag ** 2
+    e = caps.reshape(-1, 1)  # one row per cap, broadcast over the rows
+    hc, ac = h_d.conj(), a.conj()
+    hh = _dot_rows(hc, h_d)
+    hd2 = hh.real
+    gram = _dot_rows(ac, a).real
+    # the gains square hh and h_d^H q, and |h_d^H q| <= hd2
+    with np.errstate(over="ignore"):
+        hd4 = hd2 * hd2
+        big = ~(np.isfinite(hd2 * gram) & np.isfinite(hd4))
+    if (big | ((hd2 > 0.0) & (hd4 < _NORMAL_MIN))).any():
+        raise ValueError(_NOT_FINITE_BATCH)
+    if ((gram > 0.0) & (gram < _NORMAL_MIN)).any():
+        raise SubnormalLeakageError
+    c = _dot_rows(ac, h_d)
+    mag = c.real ** 2 + c.imag ** 2
 
-        safe_gram = np.where(gram > 0.0, gram, 1.0)
-        coef = np.where(gram > 0.0, c / safe_gram, 0.0)
-        p = ab * coef[:, None]
-        q = h - p
-        q2 = _dot_rows(q.conj(), q).real
-        tol = _PAR_TOL_SQ * hd2
-        ok = zf_ok[blk] = q2 > tol
-        cq = _dot_rows(hc, q)
-        gain_zf[blk] = np.divide(cq.real ** 2 + cq.imag ** 2, q2,
-                                 out=np.zeros_like(q2), where=ok)
+    safe_gram = np.where(gram > 0.0, gram, 1.0)
+    coef = np.where(gram > 0.0, c / safe_gram, 0.0)
+    p = a * coef[:, None]
+    q = h_d - p
+    q2 = _dot_rows(q.conj(), q).real
+    tol = _PAR_TOL_SQ * hd2
+    zf_ok = q2 > tol
+    cq = _dot_rows(hc, q)
+    gain_zf = np.divide(cq.real ** 2 + cq.imag ** 2, q2,
+                        out=np.zeros_like(q2), where=zf_ok)
 
-        # active cap: 1 - alpha = min(1, sqrt(eps/(gram-eps)) * ||q||/||p||),
-        # the cancellation-free equivalent of sqrt((zeta-eta)/zeta)
-        safe_mag = np.where(mag > 0.0, mag, 1.0)
-        active = (mag - e * hd2 > 0.0) & (gram > e)
-        den = np.where(active, gram - e, 1.0)
-        b2 = (e / den) * (q2 * gram / safe_mag)
-        al = alpha[:, blk] = np.where(active,
-                                      1.0 - np.minimum(1.0, np.sqrt(b2)), 0.0)
+    # active cap: 1 - alpha = min(1, sqrt(eps/(gram-eps)) * ||q||/||p||),
+    # the cancellation-free equivalent of sqrt((zeta-eta)/zeta)
+    safe_mag = np.where(mag > 0.0, mag, 1.0)
+    active = (mag - e * hd2 > 0.0) & (gram > e)
+    den = np.where(active, gram - e, 1.0)
+    b2 = (e / den) * (q2 * gram / safe_mag)
+    alpha = np.where(active, 1.0 - np.minimum(1.0, np.sqrt(b2)), 0.0)
 
-        # alpha != 0 transmits w ∝ q + (1 - alpha) p: gains from the Gram
-        # terms; alpha = 0 transmits h_d itself: |w|^2 = hd2, h_d^H w = hh,
-        # a^H w = c
-        on = al != 0.0
-        w2, g, s = _gram_gains(q2, mag / safe_gram, mag, 1.0 - al)
-        # under an active cap, a row parallel to a (not ok) takes the
-        # corner: the rounding left in its q is no direction to move along
-        live = np.where(on, ok, hd2 > tol)
-        safe_hd2 = np.where(hd2 > tol, hd2, 1.0)
-        gain = gain_opt[:, blk]
-        si = si_opt[:, blk]
-        gain[:] = np.where(on, g, (hh.real ** 2 + hh.imag ** 2) / safe_hd2)
-        si[:] = np.where(on, s, mag / safe_hd2)
-        zf_row = al == 1.0
-        if zf_row.any():
-            # alpha = 1 transmits the zero-forcing vector q itself
-            gain[zf_row] = np.broadcast_to(gain_zf[blk], zf_row.shape)[zf_row]
+    # alpha != 0 transmits w ∝ q + (1 - alpha) p: gains from the Gram
+    # terms; alpha = 0 transmits h_d itself: |w|^2 = hd2, h_d^H w = hh,
+    # a^H w = c
+    on = alpha != 0.0
+    w2, g, s = _gram_gains(q2, mag / safe_gram, mag, 1.0 - alpha)
+    # under an active cap, a row parallel to a (not zf_ok) takes the
+    # corner: the rounding left in its q is no direction to move along
+    live = np.where(on, zf_ok, hd2 > tol)
+    safe_hd2 = np.where(hd2 > tol, hd2, 1.0)
+    gain_opt = np.where(on, g, (hh.real ** 2 + hh.imag ** 2) / safe_hd2)
+    si_opt = np.where(on, s, mag / safe_hd2)
+    norm_w = np.ones(alpha.shape)
+    zf_row = alpha == 1.0
+    if zf_row.any():
+        # alpha = 1 transmits the zero-forcing vector q itself
+        gain_opt[zf_row] = np.broadcast_to(gain_zf, zf_row.shape)[zf_row]
 
-        if not live.all():
-            # parallel corner: transmit along h_d at reduced power, leakage
-            # on the cap. back2 = eps (hd2 / mag) is the squared back-off
-            # norm; eps hd2 alone can be subnormal where back2 is not
-            dead = ~live
-            back2 = e * (hd2 / safe_mag)
-            gain[dead] = (back2 * hd2)[dead]
-            si[dead] = np.broadcast_to(e, dead.shape)[dead]
-            norm_w[:, blk][dead] = np.sqrt(back2)[dead]
-    out = caps.shape + (n,)
+    if not live.all():
+        # parallel corner: transmit along h_d at reduced power, leakage
+        # on the cap. back2 = eps (hd2 / mag) is the squared back-off
+        # norm; eps hd2 alone can be subnormal where back2 is not
+        dead = ~live
+        back2 = e * (hd2 / safe_mag)
+        gain_opt[dead] = (back2 * hd2)[dead]
+        si_opt[dead] = np.broadcast_to(e, dead.shape)[dead]
+        norm_w[dead] = np.sqrt(back2)[dead]
+    out = caps.shape + (len(h_d),)
     return (alpha.reshape(out), si_opt.reshape(out), gain_opt.reshape(out),
             gain_zf, norm_w.reshape(out), zf_ok)
 

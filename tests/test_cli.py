@@ -194,6 +194,18 @@ class TestSettings:
         err = refused_before_allocating(argv, capsys)
         assert err.startswith(f"error: {argv[1][2:]} ")  # names its count
 
+    @pytest.mark.parametrize("value", ["0..1e5:1", "-1e308..1e308"])
+    def test_huge_axis_range_is_refused_before_it_is_built(
+            self, value, monkeypatch, tmp_path, capsys):
+        # 100001 values take about 3.2 MB as a list, more than this memory;
+        # the second range once ended in an OverflowError traceback
+        monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 1 << 20)
+        err = refused_before_allocating(
+            ["sweep", f"--rho-db={value}", "--trials", "1",
+             "--out-dir", str(tmp_path)], capsys)
+        assert err.startswith(f"error: --rho-db = {value} needs about ")
+        assert err.endswith(" more than the 1048576 bytes of physical memory\n")
+
     def test_huge_receive_array_is_refused_before_allocating(self, monkeypatch,
                                                               tmp_path, capsys):
         # one trial's stream at n_r = 10**8 is 4.8 GB, in each worker: more
@@ -211,7 +223,7 @@ class TestSettings:
         ("--nt", "0"), ("--c-db", "nan"), ("--rho-db", "inf"),
         ("--k-db", "nan"), ("--pd-dbm", "1e308"), ("--nt", "2,0"),
         ("--c-db", "-120,nan"), ("--c-db", "-4000"), ("--omega-db", "4000"),
-        ("--rho-db", "4000"),
+        ("--rho-db", "4000"), ("--rho-db", "3080"),
     ])
     def test_invalid_model_values_are_usage_errors(self, command, flag, value,
                                                    tmp_path, capsys):
@@ -221,7 +233,7 @@ class TestSettings:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if command == "verify" and "," in value:
+        if command == "verify" and value == "2,0":
             # verify reads one model point: the second value is refused
             assert err == f"error: verify reads one value of {flag}, got 2\n"
         else:
@@ -857,12 +869,15 @@ class TestTopLevel:
           "10"], "--omega-db"),
         (["sweep", "--rho-db=-140", "--trials", "1000"], "--rho-db"),
         (["sweep", "--nt", "1", "--trials", "5"], "--nt"),
+        # a NaN offset once clamped alpha to 0, as -inf does
+        (["verify", "--perturb-alpha", "nan", "--instances", "20",
+          "--samples", "100", "--grid-points", "100"], "--perturb-alpha"),
     ], ids=["sweep_omega", "verify_omega", "bench_omega", "sweep_rho",
-            "sweep_nt1"])
+            "sweep_nt1", "verify_nan_offset"])
     def test_unsolvable_runs_end_in_one_error_line(self, tmp_path, capsys,
                                                    argv, flag):
-        # values no draw can be solved or averaged at: main reports each as
-        # a usage error naming its flag, and nothing is written
+        # values no draw can be solved, perturbed or averaged at: main
+        # reports each as a usage error naming its flag, and nothing is written
         out_dir = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
         assert main(argv + out_dir) == 2
         out, err = capsys.readouterr()

@@ -226,7 +226,9 @@ def random_rows(rng, n, n_t):
 
 
 def block_rows(n_t):
-    return max(1, kernels._BLOCK_ENTRIES // n_t)
+    """Rows of about 16k complex entries at n_t: batches larger than a
+    sweep chunk's at every n_t."""
+    return (1 << 14) // n_t
 
 
 # rows of test_mixed_edge_rows plus the alpha = 1.0 and zero-channel rows
@@ -247,8 +249,8 @@ def with_edge_rows(h, a, starts):
 
 
 def edge_rows_across_a_boundary(rng):
-    """Random n_t = 2 rows with the edge rows on both sides of the first
-    block boundary and at the very end."""
+    """Random n_t = 2 rows with the edge rows on both sides of row
+    block_rows(2) and at the very end."""
     rows = block_rows(2)
     h, a = random_rows(rng, 2 * rows + 5, 2)
     return with_edge_rows(h, a, (rows - 3, len(h) - len(_EDGE_H)))
@@ -305,15 +307,17 @@ class TestCapAxis:
             assert not zf_ok[at + 3] and 0.0 < norm_w[2, at + 3] < 1.0
             assert norm_w[2, at + 5] == 0.0
 
-    @pytest.mark.parametrize("entries", [1, 3 * 2, 7 * 2])
-    def test_block_size_does_not_change_the_solve(self, monkeypatch, entries):
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (11, 17), (5, 14), (0, 60),
+                                        (53, 60), (30, 59)])
+    def test_a_row_slice_solves_as_in_the_whole_batch(self, lo, hi):
+        # the sweep solves each chunk of trials on its own: a row's bits
+        # must not depend on the rows passed with it
         h, a = random_rows(np.random.default_rng(48), 60, 2)
         h, a = with_edge_rows(h, a, (11, 54))
         whole = kernels.solve_batch(h, a, _EDGE_CAPS)
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
-        blocked = kernels.solve_batch(h, a, _EDGE_CAPS)
-        for x, y in zip(whole, blocked):
-            np.testing.assert_array_equal(x, y)
+        part = kernels.solve_batch(h[lo:hi], a[lo:hi], _EDGE_CAPS)
+        for x, y in zip(whole, part):
+            np.testing.assert_array_equal(x[..., lo:hi], y)
 
     def test_output_shapes(self):
         h, a = random_rows(np.random.default_rng(49), 7, 3)
@@ -368,7 +372,7 @@ class TestBadInputs:
     def test_solve_batch_rejects_non_finite_channels(self, h, a):
         rows = block_rows(2)
         hs, as_ = random_rows(np.random.default_rng(52), 2 * rows, 2)
-        for at in (0, rows + 1):  # in the first block and in a later one
+        for at in (0, rows + 1):  # in the first row and in a later one
             hb, ab = hs.copy(), as_.copy()
             hb[at], ab[at] = h, a
             with pytest.raises(ValueError, match="must be finite"):
