@@ -14,28 +14,3 @@ Library layout:
 """
 
 __version__ = "0.1.0"
-
-from .beamform import (BeamformerSolution, DegenerateParallelError,
-                       SubnormalLeakageError, closed_form, dl_rate, family, mrt,
-                       optimal, si_power, zf)
-from .channel import (ChannelRealization, SystemConfig, db_to_linear,
-                      draw_realization, ricean_params, si_threshold)
-from .experiment import (SweepAxes, SweepPoint, SweepResult, TrialRecord,
-                         draw_batch, run_sweep, run_trial)
-from .numerics import (RngState, inner, matvec_adj, norm_sq,
-                       sample_complex_gaussian)
-from .oracle import (OracleReport, feasible, grid_search,
-                     random_feasible_search, timing_bench)
-
-__all__ = [
-    "__version__",
-    "BeamformerSolution", "DegenerateParallelError", "SubnormalLeakageError",
-    "closed_form", "dl_rate", "family", "mrt", "optimal", "si_power", "zf",
-    "ChannelRealization", "SystemConfig", "db_to_linear", "draw_realization",
-    "ricean_params", "si_threshold",
-    "SweepAxes", "SweepPoint", "SweepResult", "TrialRecord", "draw_batch",
-    "run_sweep", "run_trial",
-    "RngState", "inner", "matvec_adj", "norm_sq", "sample_complex_gaussian",
-    "OracleReport", "feasible", "grid_search", "random_feasible_search",
-    "timing_bench",
-]

@@ -389,7 +389,7 @@ def run_sweep(cfg, axes=None, workers=1):
     columns. A chunk's bits do not depend on which process draws it and the
     sums are exact, so neither does the result.
     """
-    from . import procs  # not at import: `import fdbf` stays free of it
+    from . import procs  # not at import, so importing experiment skips it
 
     if axes is None:
         axes = SweepAxes.from_config(cfg)

@@ -18,7 +18,6 @@ inputs, standing in for the complexity comparison against iterative solvers.
 """
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -260,5 +259,6 @@ def timing_bench(realizations, grid_points, passes=5):
         else:
             grid.append(_per_solve_ns(run_grid, inputs))
             closed.append(_per_solve_ns(kernels.solve_one, inputs))
-    return (float(statistics.median(closed)), float(statistics.median(grid)),
-            float(statistics.median(g / c for g, c in zip(grid, closed))))
+    closed, grid = np.array(closed), np.array(grid)
+    return (float(np.median(closed)), float(np.median(grid)),
+            float(np.median(grid / closed)))

@@ -148,10 +148,25 @@ class TestForkStages:
         assert_no_children()
 
 
+def _loaded(statement):
+    """Every module a fresh interpreter holds after running `statement`."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+        capture_output=True, text=True, env=child_env(), check=True)
+    return set(done.stdout.split())
+
+
+def _fdbf_modules(loaded):
+    return {name for name in loaded if name.startswith("fdbf.")}
+
+
 def test_importing_fdbf_loads_no_process_machinery():
     # its import time would be set-up time of every program that imports fdbf
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, fdbf; print(sorted(sys.modules.keys()"
-         " & {'fdbf.procs', 'fdbf.cli', 'multiprocessing'}))"],
-        capture_output=True, text=True, env=child_env(), check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fdbf_modules(_loaded("import fdbf")) == set()
+    kernels = _loaded("from fdbf import kernels")  # perfbench's set-up
+    assert _fdbf_modules(kernels) == {
+        "fdbf.numerics", "fdbf.beamform", "fdbf.kernels"}
+    assert "statistics" not in kernels
+    library = _loaded("import fdbf.experiment, fdbf.oracle")
+    assert library.isdisjoint({"fdbf.procs", "fdbf.cli", "multiprocessing"})
+    assert "statistics" not in _loaded("import fdbf.cli")
