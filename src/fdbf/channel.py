@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, as_cvector, matvec_adj, sample_complex_gaussian
+from .numerics import (RngState, as_cvector, matvec_adj, sample_complex_gaussian,
+                       stream_generator)
 
 
 def db_to_linear(x_db):
@@ -149,11 +150,13 @@ def draw_realization(cfg, rng):
     """Draw one ChannelRealization.
 
     Draw order within the stream is fixed (h_u, then h_d, then H row-major)
-    so a realization is fully determined by (cfg, rng). The combiner is the
-    matched filter v = h_u / ||h_u||; the measure-zero event ||h_u|| = 0 is
-    redrawn from the same stream.
+    so a realization is fully determined by (cfg, rng): an RngState, read
+    from its stream's start by stream_generator, or a Generator, advanced.
+    The combiner is the matched filter v = h_u / ||h_u||; the measure-zero
+    event ||h_u|| = 0 is redrawn from the same stream.
     """
-    gen = rng.generator() if isinstance(rng, RngState) else rng
+    gen = (stream_generator(rng.seed, rng.stream_id)
+           if isinstance(rng, RngState) else rng)
     h_u = sample_complex_gaussian(gen, cfg.n_r)
     while not np.any(h_u):
         h_u = sample_complex_gaussian(gen, cfg.n_r)

@@ -54,7 +54,8 @@ from .numerics import RngState, prepare_stream_drawer
 from .oracle import feasible, grid_search, random_feasible_search, timing_bench
 
 # RNG stream ids: channel draws use the instance index, oracle sampling a
-# disjoint block so the certifier never reuses channel randomness.
+# disjoint block so the certifier never reuses channel randomness. It is
+# also the most instances verify takes, which keeps the two blocks apart.
 _ORACLE_STREAM_BASE = 1_000_000
 
 # largest count flag: the largest array dimension numpy can represent
@@ -62,7 +63,8 @@ _MAX_COUNT = 2 ** 63 - 1
 # largest grid: past 2**53 + 1 points the grid g/(grid_points - 1) repeats
 # float64 alphas, so a finer grid certifies nothing more
 _MAX_GRID = 2 ** 53 + 1
-_BOUND_TEXT = {_MAX_COUNT: "2**63 - 1", _MAX_GRID: "2**53 + 1"}
+_BOUND_TEXT = {_MAX_COUNT: "2**63 - 1", _MAX_GRID: "2**53 + 1",
+               _ORACLE_STREAM_BASE: "1000000"}
 
 # Python objects around one stored realization's arrays, in bytes (about
 # 0.7-1.1 KiB measured with tracemalloc)
@@ -173,7 +175,7 @@ FLAGS = {
     "trials": Flag("count", 10000, "Monte Carlo trials per grid point"),
     "seed": Flag("seed", 0, "RNG seed (fallback: FDBF_SEED, then 0)"),
     "grid_points": Flag("count", None, "oracle alpha grid points", least=2, most=_MAX_GRID),
-    "instances": Flag("count", 100, "realizations to certify"),
+    "instances": Flag("count", 100, "realizations to certify", most=_ORACLE_STREAM_BASE),
     "samples": Flag("count", 10000, "random candidates per realization"),
     "perturb_alpha": Flag("number", 0.0, "negative control: offset added to alpha*"),
     "repeats": Flag("count", 200, "realizations timed per size"),
@@ -453,7 +455,7 @@ def cmd_verify(settings):
                     rho=db_to_linear(cfg.rho_db))
     tasks = enumerate(draw_realizations(cfg, settings.instances))
     prepare_stream_drawer()  # the sampling oracle's: workers inherit it
-    verdicts = procs.fork_map(check, tasks, settings.workers)
+    verdicts = procs.fork_stages([(check, tasks)], settings.workers)[0]
     n_failures = 0
     worst_grid_slack = math.inf
     worst_sample_slack = math.inf

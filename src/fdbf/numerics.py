@@ -5,15 +5,16 @@ Hermitian inner products, adjoint matrix-vector products and deterministic
 circularly-symmetric Gaussian draws.
 
 Vectors are 1-D complex128 ndarrays, matrices are 2-D complex128 ndarrays.
-Random streams are counter-based (Philox) so that every Monte Carlo trial
-can own an independent stream addressed by (seed, stream id), whichever
-process or thread draws it. `stream_uniforms` draws the first uniforms of
-many such streams, bit-identical to numpy's generator: long streams one at
-a time through numpy's own Philox, short ones all at once through
-`philox_raw`, a vectorized Philox4x64-10. The drawer behind the long
-streams, and behind every draw from an `RngState`, is one numpy Philox per
-thread, made on first use and kept: every stream resets its key, counter
-and buffer, so no draw depends on the one before it. A caller about to
+Random streams are counter-based so that every Monte Carlo trial can own an
+independent stream addressed by (seed, stream id), whichever process or
+thread draws it: stream (seed, s) is numpy's Philox with the key
+np.array([seed, s], dtype=np.uint64), drawn from its start. `stream_uniforms`
+draws the first uniforms of many such streams, bit-identical to numpy's
+generator: long streams one at a time, short ones all at once through
+`philox_raw`, a vectorized Philox4x64-10. The long streams, and every draw
+from an `RngState`, go through `stream_generator`: one numpy Philox per
+thread, made on first use and kept, whose key, counter and buffer each
+stream resets, so no draw depends on the one before it. A caller about to
 fork makes it first (`prepare_stream_drawer`), and its children inherit it.
 """
 
@@ -81,11 +82,6 @@ class RngState:
     seed: int
     stream_id: int = 0
 
-    def generator(self):
-        """Fresh numpy Generator positioned at the start of this stream."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
 
 # Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
 # as 1, 2, 3", SC'11): round multipliers and Weyl key increments.
@@ -116,10 +112,10 @@ def _mulhilo64(m, x):
 def philox_raw(seed, stream_ids, m):
     """First m raw 64-bit words of each stream (seed, s) for s in stream_ids.
 
-    Row i equals np.random.Philox(key=[seed, stream_ids[i]]).random_raw(m),
-    the stream behind RngState(seed, stream_ids[i]).generator(), computed for
-    all streams at once. numpy increments the 256-bit counter before each
-    4-word block, so block b of a fresh stream is generated from counter b + 1.
+    Row i equals np.random.Philox(key=np.array([seed, stream_ids[i]],
+    dtype=np.uint64)).random_raw(m), computed for all streams at once. numpy
+    increments the 256-bit counter before each 4-word block, so block b of a
+    fresh stream is generated from counter b + 1.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1, 1)
     blocks = -(-m // 4)
@@ -160,28 +156,32 @@ _thread = threading.local()
 
 
 def _drawer():
-    """This thread's (Philox, Generator, fresh state), made on its first
-    call and kept. The state, read back from the new Philox, has counter 0
-    and an empty buffer: set with a key, it starts that key's stream."""
+    """This thread's (Philox, Generator, start state), made on its first
+    call and kept. The start state is the dict numpy's Philox state setter
+    reads, in Python ints, which it converts fastest: counter 0 and an empty
+    buffer. Set with a key, it starts that key's stream."""
     try:
         return _thread.drawer
     except AttributeError:
-        bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        _thread.drawer = bit_gen, np.random.Generator(bit_gen), bit_gen.state
+        bit_gen = np.random.Philox(key=0)
+        start = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+                 "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _thread.drawer = bit_gen, np.random.Generator(bit_gen), start
         return _thread.drawer
 
 
-def _stream_generator(seed, stream_id):
+def stream_generator(seed, stream_id):
     """This thread's Generator, set to the start of stream (seed, stream_id).
 
-    It draws what RngState(seed, stream_id).generator() draws, without a
-    new Philox and Generator, until this thread's next call resets it.
+    It draws what a new Generator on the stream's own Philox draws, without
+    making either, until this thread's next call resets it.
     """
-    bit_gen, gen, state = _drawer()
-    key = state["state"]["key"]
-    key[0] = seed
-    key[1] = stream_id
-    bit_gen.state = state
+    bit_gen, gen, start = _drawer()
+    key = start["state"]["key"]
+    key[0] = int(seed)
+    key[1] = int(stream_id)
+    bit_gen.state = start
     return gen
 
 
@@ -201,17 +201,17 @@ def prepare_stream_drawer():
 def stream_uniforms(seed, stream_ids, m):
     """First m uniforms of each stream (seed, s) for s in stream_ids.
 
-    Row i equals RngState(seed, stream_ids[i]).generator().random(m) bit
-    for bit. Streams of at least _LONG_STREAM words are drawn one at a time
-    by this thread's drawer. Shorter streams go through philox_raw, all at
-    once.
+    Row i equals stream_generator(seed, stream_ids[i]).random(m) bit for
+    bit, the uniforms of stream (seed, stream_ids[i]). Streams of at least
+    _LONG_STREAM words are drawn one at a time that way. Shorter streams go
+    through philox_raw, all at once.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     if m < _LONG_STREAM:
         return uniforms(philox_raw(seed, ids, m))
     out = np.empty((ids.size, m))
     for row, s in zip(out, ids):
-        _stream_generator(seed, s).random(out=row)
+        stream_generator(seed, s).random(out=row)
     return out
 
 
@@ -258,11 +258,11 @@ def box_muller_uniforms(rng, n):
 
     u1 = 1 - U lies in (0, 1], which keeps log() finite; u2 lies in [0, 1).
     rng is a numpy Generator, which this advances by 2n words, or an
-    RngState, whose stream this thread's drawer reads from its start: both
-    give the same bits for the same stream.
+    RngState, whose stream stream_generator reads from its start: both give
+    the same bits for the same stream.
     """
     if isinstance(rng, RngState):
-        rng = _stream_generator(rng.seed, rng.stream_id)
+        rng = stream_generator(rng.seed, rng.stream_id)
     u1 = rng.random(n)
     u2 = rng.random(n)
     np.subtract(1.0, u1, out=u1)

@@ -1,11 +1,10 @@
-"""Process policies of the `fdbf` command, and the one fork-based map.
+"""Process policies of the `fdbf` command, and the one way to fork.
 
   keep_freed_memory        freed memory stays in the C heap (glibc mallopt)
   hold_blas_to_one_thread  every loaded OpenBLAS runs on one thread
   worker_count             processes a command may run on
   fork_stages              stages of [fn(x) for x in items] on one set of
                            forked processes
-  fork_map                 one such stage
   shared_empty             an array forked processes write into
 
 The first two change the whole process, so only `cli.main` calls them:
@@ -163,7 +162,7 @@ def worker_count(tasks):
 def shared_empty(shape, dtype=np.float64):
     """An uninitialized array in anonymous shared memory.
 
-    What a child of fork_map writes into it, the caller reads: results
+    What a child of fork_stages writes into it, the caller reads: results
     too large to send back through a pipe pass through it. Anonymous mmap
     pages are not on the C heap, so tracemalloc does not see them.
     """
@@ -306,8 +305,3 @@ def fork_stages(stages, workers=1):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-
-
-def fork_map(fn, items, workers=1):
-    """[fn(x) for x in items]: fork_stages with one stage."""
-    return fork_stages([(fn, items)], workers)[0]

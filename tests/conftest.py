@@ -73,6 +73,23 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def philox_generator(seed, stream):
+    """A new numpy Generator at the start of stream (seed, stream): the
+    stream contract itself. The key is built as uint64, as a list mixing
+    ints below and above 2**63 would reach numpy as floats."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def refuse_new_generators(monkeypatch):
+    """Make constructing a numpy Philox or Generator fail from here on."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a new Philox or Generator was made")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+
+
 def canonical_realization(epsilon=0.1):
     """The worked 2-antenna instance used across the suite.
 

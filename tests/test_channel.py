@@ -6,7 +6,9 @@ import pytest
 from fdbf.channel import (ChannelRealization, SystemConfig, db_to_linear,
                           draw_realization, ricean_params, si_threshold)
 from fdbf.numerics import (RngState, box_muller_radius, norm_sq,
-                           sample_complex_gaussian)
+                           prepare_stream_drawer, sample_complex_gaussian)
+
+from conftest import philox_generator, refuse_new_generators
 
 
 class TestDbToLinear:
@@ -138,6 +140,17 @@ class TestDrawRealization:
         assert np.array_equal(r1.H, r2.H)
         r3 = draw_realization(cfg, RngState(9, 5))
         assert not np.array_equal(r1.h_d, r3.h_d)
+
+    @pytest.mark.parametrize("stream", [0, 2**63, 2**64 - 1])
+    def test_a_state_reads_through_the_drawer(self, monkeypatch, stream):
+        cfg = SystemConfig(n_t=8, seed=2**64 - 1)
+        ref = draw_realization(cfg, philox_generator(cfg.seed, stream))
+        prepare_stream_drawer()
+        refuse_new_generators(monkeypatch)
+        for _ in range(2):
+            r = draw_realization(cfg, RngState(cfg.seed, stream))
+            for name in ("h_u", "h_d", "H", "v"):
+                assert getattr(r, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_si_channel_mean_power(self):
         cfg = SystemConfig(n_t=4, n_r=4, seed=2)

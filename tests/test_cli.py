@@ -170,10 +170,13 @@ class TestSettings:
         ("verify", "--grid-points")])
     def test_count_bound(self, command, flag, monkeypatch):
         # memory large enough for any count: this tests the 2**63 - 1 limit,
-        # and for the grid the 2**53 + 1 points past which alphas repeat
+        # for the grid the 2**53 + 1 points past which alphas repeat, and
+        # for instances the first sampling-oracle stream
         monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 2 ** 200)
         if flag == "--grid-points":
             top, limit = 2 ** 53 + 1, r"<= 2\*\*53 \+ 1"
+        elif flag == "--instances":
+            top, limit = 1_000_000, "<= 1000000"
         else:
             top, limit = 2 ** 63 - 1, r"<= 2\*\*63 - 1"
         settings_for([command, flag, str(top)])
@@ -182,6 +185,19 @@ class TestSettings:
         if flag == "--grid-points":  # this once scanned without end
             with pytest.raises(UsageError, match=limit):
                 settings_for(["bench", flag, "1e18"])
+
+    def test_instances_stop_where_the_oracle_streams_start(self, monkeypatch,
+                                                            capsys):
+        # instance i draws its channel from stream i and its sampling
+        # candidates from stream 1000000 + i: instance 1000000 would draw
+        # its channel from instance 0's candidates
+        monkeypatch.setattr(fdbf.cli, "_physical_bytes", lambda: 2 ** 200)
+        with pytest.raises(UsageError):
+            settings_for(["verify", "--instances", "1000001"])
+        settings_for(["verify", "--instances", "1000000"])
+        argv = ["verify", "--instances", "1000001"]
+        err = refused_before_allocating(argv, capsys)
+        assert err == "error: instances must be <= 1000000\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--trials", "1e30"], ["verify", "--samples", "1e30"],
@@ -467,6 +483,38 @@ class TestVerifyCommand:
                    "--grid-points", "2000", "--seed", "7", "--nt", nt])
         assert rc == 0
         assert capsys.readouterr().out == expected
+
+    # `fdbf verify --instances 300 --samples 10000 --grid-points 10000` at
+    # the evidence seeds, with and without the negative control: exit code
+    # and SHA-256 of stdout and stderr, whose slacks and FAIL lines carry the
+    # last bits of the channel draws, the closed form and both oracles
+    @pytest.mark.parametrize("seed, extra, rc, out_sha, err_sha", [
+        ("1", (), 0,
+         "294dc0f13a6009d8350f5142982786f625af3c3fea2c6f10dc0385ae78ca97e3",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("1", ("--perturb-alpha", "0.05"), 1,
+         "be64cbae4ff7bf55a46fedfc6d907fb9fcf88e9af7cb5213c3a0e39f679278eb",
+         "498ce942c52e243c9c85c8ca4bfd483ccda206f7eb2c288858bb8d07d31d2aba"),
+        ("5", (), 0,
+         "d48c9d2de6134acc111fbeeaa5a1915be2a4f1840b0b554ce8e54bf0a690e2ea",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("5", ("--perturb-alpha", "0.05"), 1,
+         "ad4404166203cd781b44c79b5b27872a55b8f862d864306c47599cb3aacaec21",
+         "f12ff72f2aa2857297188111ec048374bcd0bb303cf6a2faa53f8a06eaf27f6d"),
+        ("7", (), 0,
+         "7139db564945b281207f8aaa4ffa01578979f68d99483e6b96a9d96cb588400f",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("7", ("--perturb-alpha", "0.05"), 1,
+         "71a37efa9b1e8fc82b59ee4afe86a515cade05dd49f1d36677aea6c6395cb22d",
+         "cd5b0c7085a950ceb9280125327091aa40b9e438f8113d141f7e9758a035685d"),
+    ])
+    def test_evidence_seeds_are_pinned(self, capsys, seed, extra, rc,
+                                       out_sha, err_sha):
+        assert main(["verify", "--instances", "300", "--samples", "10000",
+                     "--grid-points", "10000", "--seed", seed, *extra]) == rc
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(err.encode()).hexdigest() == err_sha
 
     def test_negative_control_fails(self, capsys):
         rc = main(["verify", "--instances", "5", "--samples", "500",

@@ -11,8 +11,11 @@ from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
                            box_muller_join, box_muller_phase,
                            box_muller_radius, box_muller_uniforms, inner, matvec_adj, norm_sq,
                            philox_raw, prepare_stream_drawer,
-                           sample_complex_gaussian, stream_uniforms, uniforms)
-from fdbf.procs import fork_map
+                           sample_complex_gaussian, stream_generator,
+                           stream_uniforms, uniforms)
+from fdbf.procs import fork_stages
+
+from conftest import philox_generator, refuse_new_generators
 
 
 class TestInner:
@@ -74,7 +77,7 @@ class TestRngState:
         assert np.array_equal(x, y)
 
     def test_generator_semantics_advance(self):
-        gen = RngState(42, 3).generator()
+        gen = philox_generator(42, 3)
         x = sample_complex_gaussian(gen, 8)
         y = sample_complex_gaussian(gen, 8)
         assert not np.array_equal(x, y)
@@ -86,10 +89,10 @@ class TestRngState:
 
     def test_fixed_draw_count_per_call(self):
         # n complex draws consume exactly 2n uniforms, no rejection loop
-        split = RngState(9, 2).generator()
+        split = philox_generator(9, 2)
         sample_complex_gaussian(split, 5)
         tail_after_5 = split.random(4)
-        straight = RngState(9, 2).generator()
+        straight = philox_generator(9, 2)
         straight.random(10)
         assert np.array_equal(tail_after_5, straight.random(4))
 
@@ -109,7 +112,7 @@ class TestVectorizedPhilox:
     def test_uniforms_match_generator_random(self):
         words = philox_raw(42, [3], 9)
         np.testing.assert_array_equal(uniforms(words)[0],
-                                      RngState(42, 3).generator().random(9))
+                                      philox_generator(42, 3).random(9))
 
 
 class TestStreamUniforms:
@@ -124,7 +127,7 @@ class TestStreamUniforms:
         assert u.shape == (len(self.STREAMS), m) and u.dtype == np.float64
         for row, stream in zip(u, self.STREAMS):
             np.testing.assert_array_equal(
-                row, RngState(seed, stream).generator().random(m))
+                row, philox_generator(seed, stream).random(m))
 
     @pytest.mark.parametrize("m, vectorized", [(_LONG_STREAM - 1, True),
                                                (_LONG_STREAM, False)])
@@ -150,7 +153,7 @@ class TestStreamDrawer:
         u = stream_uniforms(seed, streams, m)
         for row, stream in zip(u, streams):
             np.testing.assert_array_equal(
-                row, RngState(seed, stream).generator().random(m))
+                row, philox_generator(seed, stream).random(m))
 
     def test_rows_after_other_draws(self):
         for seed, streams, m in [(1, [4, 2**64 - 1], 500), (2**64 - 1, [0], self.M),
@@ -194,10 +197,21 @@ class TestStreamDrawer:
             inherited = id(getattr(fdbf.numerics._thread, "drawer", None))
             return os.getpid(), inherited, stream_uniforms(seed, streams, self.M)
 
-        for seed, (pid, inherited, u) in zip((5, 6), fork_map(child, (5, 6), workers=2)):
+        for seed, (pid, inherited, u) in zip((5, 6), fork_stages([(child, (5, 6))], 2)[0]):
             assert pid != os.getpid() and inherited == drawer
             np.testing.assert_array_equal(u, np.array(
-                [RngState(seed, s).generator().random(self.M) for s in streams]))
+                [philox_generator(seed, s).random(self.M) for s in streams]))
+
+    def test_a_stream_restarts_whatever_was_drawn_before(self):
+        # a 32-bit draw leaves half a word buffered, which a restart drops
+        stream_generator(3, 8).integers(0, 2**32, 3, dtype=np.uint32)
+        for seed, stream in [(3, 8), (np.uint64(2**64 - 1), np.uint64(2**63))]:
+            ref = philox_generator(seed, stream)
+            halves, whole = ref.integers(0, 2**32, 5, dtype=np.uint32), ref.random(7)
+            got = stream_generator(seed, stream)
+            np.testing.assert_array_equal(
+                got.integers(0, 2**32, 5, dtype=np.uint32), halves)
+            np.testing.assert_array_equal(got.random(7), whole)
 
     def test_prepare_makes_the_drawer(self, monkeypatch):
         monkeypatch.setattr(fdbf.numerics, "_thread", threading.local())
@@ -207,15 +221,11 @@ class TestStreamDrawer:
     @pytest.mark.parametrize("n", [1, 5, _LONG_STREAM // 2 - 1, _LONG_STREAM // 2, 300])
     def test_a_state_draws_through_the_drawer_at_any_length(self, monkeypatch, n):
         state = RngState(2**64 - 1, 9)
-        gen = state.generator()
+        gen = philox_generator(state.seed, state.stream_id)
         u1, u2 = 1.0 - gen.random(n), gen.random(n)
         stream_uniforms(4, [1, 2], self.M)  # leave the drawer on another stream
         drawer = fdbf.numerics._thread.drawer
-
-        def refuse(_):
-            raise AssertionError("a new Generator was made")
-
-        monkeypatch.setattr(RngState, "generator", refuse)
+        refuse_new_generators(monkeypatch)
         for _ in range(2):
             got = box_muller_uniforms(state, n)
             np.testing.assert_array_equal(got[0], u1)

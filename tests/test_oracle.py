@@ -11,7 +11,7 @@ from fdbf.numerics import (RngState, box_muller, box_muller_uniforms, matvec_adj
 from fdbf.oracle import (OracleReport, feasible, grid_search,
                          random_feasible_search, timing_bench)
 
-from conftest import canonical_realization, random_instance
+from conftest import canonical_realization, philox_generator, random_instance
 
 
 def parallel_realization():
@@ -115,7 +115,7 @@ class TestRandomFeasibleSearch:
         assert report.samples_tested == 20000
         assert report.n_feasible == 20000
         # the search's winner is the exhaustive scan's (see assert_exhaustive)
-        _, rate, w = exhaustive_search(canonical, 20000, RngState(123).generator())
+        _, rate, w = exhaustive_search(canonical, 20000, philox_generator(123, 0))
         assert report.best_rate == rate
         assert feasible(w, canonical)
 
@@ -136,7 +136,7 @@ class TestRandomFeasibleSearch:
         r = canonical_realization(epsilon=2.0)  # cap above ||a||^2
         report = random_feasible_search(r, 20000, RngState(9))
         assert report.max_violation == 0.0
-        _, rate, w = exhaustive_search(r, 20000, RngState(9).generator())
+        _, rate, w = exhaustive_search(r, 20000, philox_generator(9, 0))
         assert report.best_rate == rate
         assert norm_sq(w) == pytest.approx(1.0, rel=1e-12)
         best_gain = 2.0 ** report.best_rate - 1.0
@@ -149,7 +149,7 @@ class TestRandomFeasibleSearch:
         assert r1.max_violation == r2.max_violation
 
     def test_accepts_raw_generator(self, canonical):
-        gen = RngState(77).generator()
+        gen = philox_generator(77, 0)
         r1 = random_feasible_search(canonical, 500, gen)
         r2 = random_feasible_search(canonical, 500, RngState(77))
         assert r1.best_rate == r2.best_rate
@@ -163,7 +163,7 @@ class TestRandomFeasibleSearch:
             r = realization_at(n_t, i)
             reports = [random_feasible_search(r, samples, rng) for rng in
                        (RngState(3, 1_000_000 + i),
-                        RngState(3, 1_000_000 + i).generator())]
+                        philox_generator(3, 1_000_000 + i))]
             assert len({(rep.best_rate.hex(), float(rep.max_violation).hex(),
                          rep.samples_tested) for rep in reports}) == 1
 
@@ -254,7 +254,7 @@ class TestRandomFeasibleSearchIsExhaustive:
     def test_antennas_and_sample_counts(self, n_t, samples):
         for i in range(2):
             r = realization_at(n_t, i)
-            rows = assert_exhaustive(r, samples, lambda: RngState(7, 100 + i).generator())
+            rows = assert_exhaustive(r, samples, lambda: philox_generator(7, 100 + i))
             if n_t == 1:
                 assert rows is None
             elif samples >= 2049:
@@ -270,7 +270,7 @@ class TestRandomFeasibleSearchIsExhaustive:
                 r = r.replace(epsilon=0.0)
             elif cap == "above":
                 r = r.replace(epsilon=2.0 * norm_sq(r.effective_si_vector()))
-            assert_exhaustive(r, 2049, lambda: RngState(8, i).generator())
+            assert_exhaustive(r, 2049, lambda: philox_generator(8, i))
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     @pytest.mark.parametrize("n_t", [2, 3])
@@ -278,16 +278,16 @@ class TestRandomFeasibleSearchIsExhaustive:
         for i in range(2):
             r = realization_at(n_t, i)
             both = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
-            rows = assert_exhaustive(both, 2049, lambda: RngState(9, i).generator())
+            rows = assert_exhaustive(both, 2049, lambda: philox_generator(9, i))
             assert rows is not None
             assert_exhaustive(r.replace(h_d=scale * r.h_d), 2049,
-                              lambda: RngState(9, i).generator())
+                              lambda: philox_generator(9, i))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_scales_past_the_filter_range_scan_every_candidate(self, scale):
         r = realization_at(2, 0)
         r = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
-        assert assert_exhaustive(r, 2049, lambda: RngState(9, 0).generator()) is None
+        assert assert_exhaustive(r, 2049, lambda: philox_generator(9, 0)) is None
 
     @pytest.mark.parametrize("n_t", [2, 8])
     def test_no_leakage_direction_and_zero_cap(self, n_t):
@@ -295,13 +295,13 @@ class TestRandomFeasibleSearchIsExhaustive:
         # mean "no back-off", not a NaN that drops every candidate
         r = realization_at(n_t, 0)
         r = r.replace(H=np.zeros_like(r.H), epsilon=0.0)
-        rows = assert_exhaustive(r, 2049, lambda: RngState(10, 0).generator())
+        rows = assert_exhaustive(r, 2049, lambda: philox_generator(10, 0))
         assert rows is not None and 1 <= len(rows) <= 20
 
     def test_zero_channel_ties_every_candidate(self):
         r = realization_at(3, 0)
         assert_exhaustive(r.replace(h_d=np.zeros_like(r.h_d)), 2049,
-                          lambda: RngState(11, 0).generator())
+                          lambda: philox_generator(11, 0))
 
     @pytest.mark.parametrize("n_t", [2, 3])
     @pytest.mark.parametrize("samples", [2047, 2048, 2049, 4100])
@@ -363,9 +363,9 @@ class TestRandomFeasibleSearchIsExhaustive:
             assert list(rows) == [0, 1]
 
     def test_generator_ends_where_the_draw_ends(self, canonical):
-        gen = RngState(77).generator()
+        gen = philox_generator(77, 0)
         random_feasible_search(canonical, 3001, gen)
-        ref = RngState(77).generator()
+        ref = philox_generator(77, 0)
         ref.random(3001 * 2)
         ref.random(3001 * 2)
         np.testing.assert_array_equal(gen.random(5), ref.random(5))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_children, child_env, count_forks
-from fdbf.procs import fork_map, fork_stages, shared_empty
+from fdbf.procs import fork_stages, shared_empty
 
 
 def _square_and_pid(x):
@@ -15,11 +15,13 @@ def _square_and_pid(x):
 
 
 class TestForkMap:
+    """One stage of fork_stages: a map, as verify runs it."""
+
     @pytest.mark.parametrize("workers, n", [
         (1, 7), (2, 7), (3, 7), (8, 7), (3, 2500)])  # 2500: 3 items a block
     def test_results_in_item_order(self, monkeypatch, workers, n):
         forks = count_forks(monkeypatch)
-        results = fork_map(_square_and_pid, range(n), workers)
+        results = fork_stages([(_square_and_pid, range(n))], workers)[0]
         assert [r for r, _ in results] == [x * x for x in range(n)]
         assert len(forks) == (0 if workers == 1 else min(workers, n))
         assert (os.getpid() in {pid for _, pid in results}) == (workers == 1)
@@ -31,7 +33,7 @@ class TestForkMap:
                 time.sleep(0.5)
             return os.getpid()
 
-        pids = fork_map(slow_first, range(20), 2)
+        pids = fork_stages([(slow_first, range(20))], 2)[0]
         assert pids[0] not in pids[1:]
 
     def test_children_write_shared_memory(self):
@@ -40,7 +42,7 @@ class TestForkMap:
         def fill(i):
             out[:, i] = (i, os.getpid())
 
-        fork_map(fill, range(5), 2)
+        fork_stages([(fill, range(5))], 2)
         assert out[0].tolist() == list(range(5))
         assert os.getpid() not in out[1].tolist()
 
@@ -51,7 +53,7 @@ class TestForkMap:
             return x
 
         with pytest.raises(KeyError) as exc:
-            fork_map(fail_from_2, range(6), 3)
+            fork_stages([(fail_from_2, range(6))], 3)
         assert exc.value.args == (2,)
         assert_no_children()
 
@@ -60,7 +62,7 @@ class TestForkMap:
             os._exit(3)
 
         with pytest.raises(ChildProcessError, match="ended without a result"):
-            fork_map(die, range(4), 2)
+            fork_stages([(die, range(4))], 2)
         assert_no_children()
 
     def test_an_unpicklable_error_arrives_as_its_traceback(self):
@@ -71,7 +73,7 @@ class TestForkMap:
             raise Local("cannot be pickled")
 
         with pytest.raises(RuntimeError, match="Local: cannot be pickled"):
-            fork_map(raise_local, range(2), 2)
+            fork_stages([(raise_local, range(2))], 2)
         assert_no_children()
 
 
@@ -136,15 +138,6 @@ class TestForkStages:
 
         with pytest.raises(ChildProcessError, match="ended without a result"):
             fork_stages([(_square_and_pid, range(4)), (die, range(4))], 2)
-        assert_no_children()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_stage_is_fork_map(self, monkeypatch, workers):
-        forks = count_forks(monkeypatch)
-        staged = fork_stages([(_square_and_pid, range(9))], workers)
-        single = fork_map(_square_and_pid, range(9), workers)
-        assert [[r for r, _ in staged[0]]] == [[r for r, _ in single]]
-        assert len(forks) == (0 if workers == 1 else 2 * workers)
         assert_no_children()
 
 
