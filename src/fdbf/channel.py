@@ -17,12 +17,21 @@ transmit signal must stay below the receiver noise floor r_n_dbm.
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import (RngState, as_cvector, matvec_adj, sample_complex_gaussian,
                        stream_generator)
+
+
+def require_int(value, name):
+    """Raise ValueError unless value is an integer (numpy's included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def db_to_linear(x_db):
@@ -57,6 +66,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_t", "n_r", "trials", "seed"):
+            require_int(getattr(self, name), name)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_t < 1:
             raise ValueError("n_t must be >= 1")
         if self.n_r < 1:

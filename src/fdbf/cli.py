@@ -1,7 +1,7 @@
 """Command-line front end: sweep, verify and bench subcommands.
 
   fdbf sweep   Monte Carlo sweep; writes tg.csv and ps.csv plus a manifest.
-  fdbf verify  brute-force certification of the closed form; exit 1 on any
+  fdbf verify  oracle.certify on each drawn instance; exit 1 on any
                violated invariant.
   fdbf bench   closed-form vs grid-search timing; writes bench.csv plus a
                manifest.
@@ -39,19 +39,19 @@ import re
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, procs
-from .beamform import (DegenerateParallelError, SubnormalLeakageError, dl_rate,
-                       family, optimal)
+from .beamform import SubnormalLeakageError
 from .channel import SystemConfig, db_to_linear, si_threshold
 from .experiment import SweepAxes, ZeroRateError, draw_realizations, run_sweep
 from .numerics import RngState, prepare_stream_drawer
-from .oracle import feasible, grid_search, random_feasible_search, timing_bench
+from .oracle import (ACTIVITY_TOL, GRID_SLACK_TOL, SAMPLE_SLACK_TOL, certify,
+                     timing_bench)
 
 # RNG stream ids: channel draws use the instance index, oracle sampling a
 # disjoint block so the certifier never reuses channel randomness. It is
@@ -392,67 +392,16 @@ def cmd_bench(settings):
     return 0
 
 
-class _Verdict(NamedTuple):
-    """What certifying one instance found."""
-
-    reasons: tuple                # failure messages, in the order checked
-    grid_slack: Optional[float]   # None where the grid was degenerate
-    sample_slack: float
-    activity: float               # relative SI activity error; 0 if inactive
-
-
-def _certify(task, *, seed, grid_points, samples, perturb_alpha, rho):
-    """Certify instance i = task[0], realization task[1], against both
-    oracles; prints nothing, so it can run in a worker process."""
-    i, r = task
-    reasons = []
-    sol = optimal(r.h_d, r.H, r.v, r.epsilon)
-    cand = sol
-    if perturb_alpha != 0.0 and not sol.degenerate:
-        alpha = min(1.0, max(0.0, sol.alpha + perturb_alpha))
-        try:
-            cand = family(alpha, r.h_d, r.effective_si_vector())
-        except DegenerateParallelError:
-            cand = sol
-    rate_c = dl_rate(cand.w, r.h_d, rho)
-
-    if not feasible(cand.w, r):
-        reasons.append(f"candidate infeasible: si={cand.si_power!r} "
-                       f"norm={cand.norm_w!r} eps={r.epsilon!r}")
-    activity = 0.0
-    if cand.alpha > 0.0:
-        activity = abs(cand.si_power - r.epsilon) / r.epsilon
-        if activity > 1e-6:
-            reasons.append(f"SI constraint not active at alpha={cand.alpha}: "
-                           f"relative error {activity:.3e}")
-
-    grid = grid_search(r, grid_points, rho=rho)
-    if grid.max_violation > 1e-9:
-        reasons.append(f"grid oracle accepted SI overshoot {grid.max_violation:.3e}")
-    grid_slack = None
-    if not grid.degenerate:
-        grid_slack = rate_c - grid.best_rate
-        if grid_slack < -1e-6:
-            reasons.append(f"grid oracle beats candidate by {-grid_slack:.3e} "
-                           f"bits/s/Hz (alpha={cand.alpha} vs grid {grid.best_alpha})")
-
-    rand = random_feasible_search(
-        r, samples, RngState(seed, _ORACLE_STREAM_BASE + i), rho=rho)
-    if rand.max_violation > 1e-9:
-        reasons.append(f"sampling oracle accepted SI overshoot {rand.max_violation:.3e}")
-    sample_slack = rate_c - rand.best_rate
-    if sample_slack < -1e-9:
-        reasons.append(f"random feasible candidate beats closed form by "
-                       f"{-sample_slack:.3e}")
-    return _Verdict(tuple(reasons), grid_slack, sample_slack, activity)
-
-
 def cmd_verify(settings):
     cfg = settings.base_config()
-    check = partial(_certify, seed=settings.seed,
-                    grid_points=settings.grid_points, samples=settings.samples,
-                    perturb_alpha=settings.perturb_alpha,
-                    rho=db_to_linear(cfg.rho_db))
+    rho = db_to_linear(cfg.rho_db)
+
+    def check(task):
+        i, realization = task
+        return certify(realization, RngState(settings.seed, _ORACLE_STREAM_BASE + i),
+                       grid_points=settings.grid_points, samples=settings.samples,
+                       perturb_alpha=settings.perturb_alpha, rho=rho)
+
     tasks = enumerate(draw_realizations(cfg, settings.instances))
     prepare_stream_drawer()  # the sampling oracle's: workers inherit it
     verdicts = procs.fork_stages([(check, tasks)], settings.workers)[0]
@@ -478,11 +427,11 @@ def cmd_verify(settings):
           f"{settings.samples} samples, seed {settings.seed}")
     if math.isfinite(worst_grid_slack):
         print(f"  worst grid slack     : {worst_grid_slack:.6e} bits/s/Hz "
-              f"(must be >= -1e-06)")
+              f"(must be >= {-GRID_SLACK_TOL:g})")
     if math.isfinite(worst_sample_slack):
         print(f"  worst sampling slack : {worst_sample_slack:.6e} bits/s/Hz "
-              f"(must be >= -1e-09)")
-    print(f"  worst SI activity err: {worst_activity:.6e} (must be <= 1e-06)")
+              f"(must be >= {-SAMPLE_SLACK_TOL:g})")
+    print(f"  worst SI activity err: {worst_activity:.6e} (must be <= {ACTIVITY_TOL:g})")
     print(f"  degenerate instances : {n_degenerate}")
     if n_failures:
         print(f"verify: {n_failures} violation(s) across "

@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
-                      ricean_params, si_threshold)
+                      require_int, ricean_params, si_threshold)
 from .numerics import (_LONG_STREAM, RngState, box_muller_join,
                        box_muller_phase, box_muller_radius,
                        prepare_stream_drawer, stream_uniforms)
@@ -81,6 +81,10 @@ class SweepAxes:
     def __post_init__(self):
         if not (self.n_t and self.rho_db and self.c_db):
             raise ValueError("every sweep axis needs at least one value")
+        for n_t in self.n_t:
+            require_int(n_t, "n_t")
+            if n_t < 1:
+                raise ValueError(f"n_t must be >= 1, got {n_t}")
 
     @classmethod
     def from_config(cls, cfg):

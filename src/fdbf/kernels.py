@@ -218,8 +218,8 @@ def solve_one(h_d, H, v, eps):
 
 # Grid feasibility slack. Has to admit exact boundary candidates whose
 # leakage lands last-ulp above the cap (so the alpha* grid point itself is
-# never rejected) while keeping any accepted overshoot far below the 1e-9
-# report invariant; 1e-12 absolute does both for caps down to 1e-6.
+# never rejected) while keeping any accepted overshoot far below verify's
+# oracle.OVERSHOOT_TOL; 1e-12 absolute does both for caps down to 1e-6.
 GRID_FEAS_TOL = 1e-12
 _GRID_CHUNK = 65536
 

@@ -1,6 +1,7 @@
 """Brute-force certifiers for the closed-form beamformer.
 
-Two independent searches bound the closed form from below and from the side:
+Two independent searches bound the closed form from below and from the side,
+and certify judges one instance by both, against the *_TOL constants below:
 
   * grid_search sweeps the one-parameter matched-to-nulled family on a
     uniform grid, keeping the best feasible candidate. The optimum provably
@@ -20,12 +21,12 @@ inputs, standing in for the complexity comparison against iterative solvers.
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .beamform import si_power
+from .beamform import DegenerateParallelError, dl_rate, family, optimal, si_power
 from .numerics import box_muller, box_muller_uniforms, norm_sq
 
 # The sampling filter. A candidate is w = r (cos t + i sin t) entrywise, from
@@ -56,6 +57,11 @@ _FILTER_ENTRIES = 1 << 15
 # ||a||^2 stay below 1 / _SAMPLE_FLOOR and a nonzero cap above
 # _SAMPLE_FLOOR max(1, ||a||^2), which keeps the back-off factor normal.
 _SAMPLE_FLOOR = 1e-280
+# What certify accepts; the slacks are rates above the candidate's, bits/s/Hz
+OVERSHOOT_TOL = 1e-9     # SI above the cap, power above 1: feasible, both searches
+ACTIVITY_TOL = 1e-6      # relative SI error of a candidate with alpha > 0
+GRID_SLACK_TOL = 1e-6    # the grid search's best rate
+SAMPLE_SLACK_TOL = 1e-9  # the sampling search's best rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,25 +72,24 @@ class OracleReport:
     parameterized by alpha or when nothing was feasible); best_rate is the
     best feasible downlink rate found (-inf when nothing was feasible);
     max_violation is the worst SI overshoot among accepted candidates and
-    must stay below 1e-9 (the sampling search backs every candidate off
-    onto the cap, so its overshoot is rounding, within 2 ulp of the cap);
+    must stay below OVERSHOOT_TOL (the sampling search backs every candidate
+    off onto the cap, so its overshoot is rounding, within 2 ulp of the cap);
     degenerate flags an all-infeasible grid, which only happens in the
     parallel corner.
     """
 
     best_alpha: Optional[float]
     best_rate: float
-    samples_tested: int
     max_violation: float
     n_feasible: int
     degenerate: bool = False
 
 
 def feasible(w, realization):
-    """True iff w meets both constraints up to 1e-9: SI cap and unit power."""
+    """True iff w meets the SI cap and unit power up to OVERSHOOT_TOL."""
     w = np.asarray(w, dtype=np.complex128)
     si = si_power(w, realization.H, realization.v)
-    return si <= realization.epsilon + 1e-9 and norm_sq(w) <= 1.0 + 1e-9
+    return si <= realization.epsilon + OVERSHOOT_TOL and norm_sq(w) <= 1.0 + OVERSHOOT_TOL
 
 
 def grid_search(realization, grid_points, rho=1.0):
@@ -102,13 +107,11 @@ def grid_search(realization, grid_points, rho=1.0):
         realization.epsilon, int(grid_points))
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"),
-                            samples_tested=int(grid_points),
                             max_violation=max_violation, n_feasible=0,
                             degenerate=True)
     best_alpha = best_idx / (grid_points - 1)
     return OracleReport(best_alpha=best_alpha,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        samples_tested=int(grid_points),
                         max_violation=max_violation, n_feasible=int(n_feasible))
 
 
@@ -215,9 +218,62 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     _, best_gain, _, max_violation = kernels.sample_scan(h_d, a, eps, W)
     return OracleReport(best_alpha=None,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        samples_tested=samples,
                         max_violation=max(max_violation, filtered_violation),
                         n_feasible=samples)
+
+
+class Verdict(NamedTuple):
+    """What certifying one instance found."""
+
+    reasons: tuple                # failure messages, in the order checked
+    grid_slack: Optional[float]   # None where the grid was degenerate
+    sample_slack: float
+    activity: float               # relative SI activity error; 0 if inactive
+
+
+def certify(realization, rng, *, grid_points, samples, perturb_alpha, rho):
+    """Certify the closed form, moved by perturb_alpha as a negative control,
+    against both oracles (rng feeds the sampling one). Prints nothing."""
+    r = realization
+    reasons = []
+    sol = optimal(r.h_d, r.H, r.v, r.epsilon)
+    cand = sol
+    if perturb_alpha != 0.0 and not sol.degenerate:
+        alpha = min(1.0, max(0.0, sol.alpha + perturb_alpha))
+        try:
+            cand = family(alpha, r.h_d, r.effective_si_vector())
+        except DegenerateParallelError:
+            cand = sol
+    rate_c = dl_rate(cand.w, r.h_d, rho)
+
+    if not feasible(cand.w, r):
+        reasons.append(f"candidate infeasible: si={cand.si_power!r} "
+                       f"norm={cand.norm_w!r} eps={r.epsilon!r}")
+    activity = 0.0
+    if cand.alpha > 0.0:
+        activity = abs(cand.si_power - r.epsilon) / r.epsilon
+        if activity > ACTIVITY_TOL:
+            reasons.append(f"SI constraint not active at alpha={cand.alpha}: "
+                           f"relative error {activity:.3e}")
+
+    grid = grid_search(r, grid_points, rho=rho)
+    if grid.max_violation > OVERSHOOT_TOL:
+        reasons.append(f"grid oracle accepted SI overshoot {grid.max_violation:.3e}")
+    grid_slack = None
+    if not grid.degenerate:
+        grid_slack = rate_c - grid.best_rate
+        if grid_slack < -GRID_SLACK_TOL:
+            reasons.append(f"grid oracle beats candidate by {-grid_slack:.3e} "
+                           f"bits/s/Hz (alpha={cand.alpha} vs grid {grid.best_alpha})")
+
+    rand = random_feasible_search(r, samples, rng, rho=rho)
+    if rand.max_violation > OVERSHOOT_TOL:
+        reasons.append(f"sampling oracle accepted SI overshoot {rand.max_violation:.3e}")
+    sample_slack = rate_c - rand.best_rate
+    if sample_slack < -SAMPLE_SLACK_TOL:
+        reasons.append(f"random feasible candidate beats closed form by "
+                       f"{-sample_slack:.3e}")
+    return Verdict(tuple(reasons), grid_slack, sample_slack, activity)
 
 
 def _per_solve_ns(fn, inputs):

@@ -564,7 +564,7 @@ class TestVerifyWorkers:
     def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(
             self, cpus, monkeypatch, capsys):
         forks = cpus(2)
-        monkeypatch.setattr(fdbf.cli, "grid_search", _raise_in_worker)
+        monkeypatch.setattr(fdbf.oracle, "grid_search", _raise_in_worker)
         with pytest.raises(ValueError, match="raised in process") as exc:
             main(self.ARGV)
         assert len(forks) == 2

@@ -42,6 +42,26 @@ class TestAxes:
         with pytest.raises(ValueError):
             SweepAxes((), (0.0,), (-110.0,))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SystemConfig(n_t=2.5), lambda: SystemConfig(n_r=2.0),
+        lambda: SystemConfig(trials=5.0), lambda: SystemConfig(seed=1.5),
+        lambda: SystemConfig(seed=-1), lambda: SystemConfig(seed=2 ** 64),
+        lambda: SweepAxes((2.5,), (0.0,), (-110.0,)),
+        lambda: SweepAxes((2, 2.5), (0.0,), (-110.0,)),
+        lambda: SweepAxes((0,), (0.0,), (-110.0,))],
+        ids=["n_t", "n_r", "trials", "seed", "seed<0", "seed>=2**64",
+             "axis", "axis duplicate", "axis 0"])
+    def test_refuses_what_would_be_drawn_as_another_integer(self, build):
+        # 2.5 antennas ran as 2, seed 1.5 drew seed 1's streams, and seeds
+        # outside [0, 2**64) or 0 antennas failed deep inside the draw
+        with pytest.raises(ValueError):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SystemConfig(n_t=np.int64(4), trials=np.int32(5),
+                           seed=np.uint64(2 ** 64 - 1))
+        assert SweepAxes((np.int64(2), cfg.n_t), (0.0,), (-110.0,)).n_t == (2, 4)
+
     def test_point_lookup(self):
         pt = SweepPoint(n_t=2, rho_db=0.0, c_db=-110.0, tg_mean=1.0, tg_ci=0.1,
                         ps_mean=0.4, ps_ci=0.05, n_excluded=0)
@@ -385,6 +405,40 @@ class TestExactAggregation:
         monkeypatch.setattr(fdbf.experiment.kernels, "solve_batch", nan_gain)
         with pytest.raises(ValueError, match="values must be finite"):
             run_sweep(SystemConfig(n_t=2, trials=20, seed=1))
+
+
+# (d, d ** 2) as hex bits, for 16 of the 2488 values of
+# default_rng(0).standard_normal(3_000_000) where glibc 2.36's pow(d, 2)
+# and the correctly rounded d * d differ by an ulp
+_LIBM_SQUARES = [
+    ("0x1.731dc1c47773dp-2", "0x1.0cffa18a75b34p-3"),
+    ("0x1.2722d17b983cbp-1", "0x1.54414387291b6p-2"),
+    ("-0x1.e1a9f6bdbcb88p-1", "0x1.c520110659c0ep-1"),
+    ("0x1.9b63b959f20ddp-4", "0x1.4a8cadffd87e5p-7"),
+    ("0x1.0830df0abd811p+0", "0x1.10a4d55a8d34fp+0"),
+    ("0x1.c1786730ba162p-3", "0x1.8a93c94cea042p-5"),
+    ("0x1.cae89fc4cc043p-3", "0x1.9b52978711336p-5"),
+    ("-0x1.51c3dbae73634p-1", "0x1.bda53e39b4130p-2"),
+    ("-0x1.b0852b3abaa37p-1", "0x1.6d60db96141d3p-1"),
+    ("-0x1.41170de7b4e9fp+0", "0x1.92bad2f294168p+0"),
+    ("-0x1.e48289f47fa4dp-1", "0x1.ca7eee1a74a83p-1"),
+    ("-0x1.77ca743f52289p+0", "0x1.13d1605695b4fp+1"),
+    ("-0x1.20d148a28d7a0p+1", "0x1.45d78e856c596p+2"),
+    ("0x1.48e78734afc64p-3", "0x1.a6921bdc4ae9dp-6"),
+    ("-0x1.e480e600a0b54p-2", "0x1.ca7bd34c97799p-3"),
+    ("0x1.b1e9b48d5a56ap-5", "0x1.6fbc35102a1f4p-9"),
+]
+
+
+def test_libm_pow_squares_are_the_pinned_bits():
+    # a canary: the CSV's confidence intervals square through libm pow
+    d = [float.fromhex(x) for x, _ in _LIBM_SQUARES]
+    pinned = [square for _, square in _LIBM_SQUARES]
+    why = ("libm pow(d, 2) rounds these squares differently from glibc 2.36: "
+           "the 128 sweep digests in perfbench/digests.json and criterion 09 "
+           "were computed with its bits and depend on them")
+    assert [(v ** 2).hex() for v in d] == pinned, why
+    assert [v.hex() for v in _pow_squares(np.array(d)).tolist()] == pinned, why
 
 
 def _bits(points):

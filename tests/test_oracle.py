@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fdbf import kernels, oracle
 from fdbf.beamform import family, mrt, optimal, zf
 from fdbf.channel import ChannelRealization, SystemConfig, draw_realization
+from fdbf.experiment import draw_realizations
 from fdbf.numerics import (RngState, box_muller, box_muller_uniforms, matvec_adj,
                            norm_sq)
 from fdbf.oracle import (OracleReport, feasible, grid_search,
@@ -45,7 +47,6 @@ class TestGridSearch:
         assert report.best_alpha == pytest.approx(2.0 / 3.0, abs=1e-5)
         assert report.best_rate == pytest.approx(math.log2(1.8), abs=1e-5)
         assert report.best_rate <= math.log2(1.8) + 1e-9
-        assert report.samples_tested == 100001
         assert report.n_feasible == 33334
         assert report.max_violation <= kernels.GRID_FEAS_TOL
         best = family(report.best_alpha, canonical.h_d,
@@ -112,7 +113,6 @@ class TestRandomFeasibleSearch:
         assert report.best_rate <= math.log2(1.8) + 1e-9
         assert report.best_rate >= math.log2(1.8) - 0.05
         assert report.max_violation <= 1e-9
-        assert report.samples_tested == 20000
         assert report.n_feasible == 20000
         # the search's winner is the exhaustive scan's (see assert_exhaustive)
         _, rate, w = exhaustive_search(canonical, 20000, philox_generator(123, 0))
@@ -164,8 +164,8 @@ class TestRandomFeasibleSearch:
             reports = [random_feasible_search(r, samples, rng) for rng in
                        (RngState(3, 1_000_000 + i),
                         philox_generator(3, 1_000_000 + i))]
-            assert len({(rep.best_rate.hex(), float(rep.max_violation).hex(),
-                         rep.samples_tested) for rep in reports}) == 1
+            assert len({(rep.best_rate.hex(), float(rep.max_violation).hex())
+                        for rep in reports}) == 1
 
     def test_rejects_zero_samples(self, canonical):
         with pytest.raises(ValueError):
@@ -383,6 +383,46 @@ def test_float32_trig_error_is_inside_the_filter_bound():
     t = phase.astype(np.float32)
     err = np.hypot(np.cos(t) - np.cos(phase), np.sin(t) - np.sin(phase))
     assert err.max() <= oracle._SAMPLE_ETA / 8
+
+
+class TestCertify:
+    """The per-instance check `fdbf verify` runs, called as a library."""
+
+    @staticmethod
+    def certify(r, grid_points=10_000, samples=200, perturb_alpha=0.0):
+        return oracle.certify(r, RngState(0, 1_000_000), grid_points=grid_points,
+                              samples=samples, perturb_alpha=perturb_alpha, rho=1.0)
+
+    @pytest.mark.parametrize("grid_points", [4, 10_000])
+    def test_canonical_optimum_passes_on_the_grid(self, canonical, grid_points):
+        # alpha* = 2/3 is a grid point of both grids
+        verdict = self.certify(canonical, grid_points)
+        assert verdict.reasons == ()
+        assert verdict.grid_slack == 0.0
+        assert verdict.sample_slack >= -oracle.SAMPLE_SLACK_TOL
+        assert verdict.activity <= oracle.ACTIVITY_TOL
+
+    def test_a_perturbed_candidate_fails_activity_and_grid_not_feasibility(self):
+        for r in draw_realizations(SystemConfig(n_t=4), 200):
+            verdict = self.certify(r, grid_points=1000, perturb_alpha=0.05)
+            assert verdict.activity > oracle.ACTIVITY_TOL
+            assert verdict.grid_slack < -oracle.GRID_SLACK_TOL
+            checks = [reason.split(" ")[0] for reason in verdict.reasons]
+            assert checks[:2] == ["SI", "grid"] and "candidate" not in checks
+
+    def test_one_antenna_with_an_active_cap_has_a_degenerate_grid(self):
+        active = [r for r in draw_realizations(SystemConfig(n_t=1), 40)
+                  if norm_sq(r.effective_si_vector()) > r.epsilon]
+        assert len(active) >= 10
+        for r in active:
+            verdict = self.certify(r, grid_points=100)
+            assert verdict.reasons == () and verdict.grid_slack is None
+
+    def test_a_verdict_survives_pickling(self):
+        # verify's workers send their verdicts back pickled
+        for r in (canonical_realization(), realization_at(1, 0)):
+            verdict = self.certify(r, grid_points=100, perturb_alpha=0.05)
+            assert pickle.loads(pickle.dumps(verdict)) == verdict
 
 
 class TestTimingBench:
