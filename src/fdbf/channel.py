@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (RngState, as_cvector, matvec_adj, sample_complex_gaussian,
-                       stream_generator)
+from .numerics import (box_muller_join, box_muller_phase, box_muller_radius,
+                       matvec_adj, stream_uniforms)
 
 
 def require_int(value, name):
@@ -159,24 +159,95 @@ class ChannelRealization:
         return matvec_adj(self.H, self.v)
 
 
-def draw_realization(cfg, rng):
-    """Draw one ChannelRealization.
+def stream_words(n_r, n_t):
+    """Words of a stream that draw_streams reads at n_t: h_u, h_d and H,
+    two words an entry."""
+    return 2 * (n_r + n_t + n_r * n_t)
 
-    Draw order within the stream is fixed (h_u, then h_d, then H row-major)
-    so a realization is fully determined by (cfg, rng): an RngState, read
-    from its stream's start by stream_generator, or a Generator, advanced.
-    The combiner is the matched filter v = h_u / ||h_u||; the measure-zero
-    event ||h_u|| = 0 is redrawn from the same stream.
+
+def _tables(u, spans, transform):
+    """{(lo, hi): views of transform(u[:, lo:hi])} for each span (lo, hi).
+
+    transform maps a block of columns to a tuple of tables of its shape,
+    elementwise. It runs once on each maximal run of the columns the spans
+    cover, and each span takes views into its run's tables, so a column
+    that several spans cover is transformed once.
     """
-    gen = (stream_generator(rng.seed, rng.stream_id)
-           if isinstance(rng, RngState) else rng)
-    h_u = sample_complex_gaussian(gen, cfg.n_r)
-    while not np.any(h_u):
-        h_u = sample_complex_gaussian(gen, cfg.n_r)
-    h_d = sample_complex_gaussian(gen, cfg.n_t)
+    runs = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    views = {}
+    for start, stop in runs:
+        tables = transform(u[:, start:stop])
+        for lo, hi in spans:
+            if start <= lo and hi <= stop:
+                views[lo, hi] = [t[:, lo - start:hi - start] for t in tables]
+    return views
+
+
+def draw_streams(cfg, seed, streams, n_ts):
+    """Channels of the streams (seed, s), s in streams, at each n_t in n_ts.
+
+    Yields (n_t, h_u, h_d, H, v) for each n_t in n_ts, in that order, with
+    a row for each stream: h_u (rows, n_r) and the combiner v = h_u /
+    ||h_u|| are shared by every n_t, h_d (rows, n_t) and H (rows, n_r, n_t)
+    are this n_t's. This is the one statement of the stream layout. A
+    stream is read as h_u, h_d, H (row-major), each k entries taking k
+    uniforms U as u1 = 1 - U and then k as u2, joined by Box-Muller into
+    CN(0, 1) draws; H is the Ricean mean + std z. An all-zero h_u, whose n_r
+    u1 words are all 0, is redrawn from the stream's next 2 n_r words, and
+    everything after it moves on with it. So each n_t's words are a prefix
+    of the largest n_t's: stream_uniforms draws those once, and h_u and v
+    are built once. Box-Muller runs once per word: the radius of every word
+    some n_t reads as u1, and the cos and sin of every word some n_t reads
+    as u2, are computed once over each maximal run of such words, and every
+    variable of every n_t joins views into them. With one n_t the runs are
+    the variables' own ranges.
+    """
+    n_r, top = cfg.n_r, max(n_ts)
     mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
-    H = sample_complex_gaussian(gen, cfg.n_r * cfg.n_t, mean=mean, std=std)
-    H = H.reshape(cfg.n_r, cfg.n_t)
-    v = h_u / math.sqrt(np.vdot(h_u, h_u).real)
-    return ChannelRealization(h_u=h_u, h_d=as_cvector(h_d), H=H, v=v,
+    words = stream_words(n_r, top)
+    streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    u = stream_uniforms(seed, streams, words)
+    for i in np.flatnonzero(~u[:, :n_r].any(axis=1)):
+        skip = 0
+        while not u[i, :n_r].any():
+            skip += 2 * n_r
+            u[i] = stream_uniforms(seed, streams[i:i + 1], skip + words)[0, skip:]
+    # (first word, entries) of h_u, then of h_d and H at each n_t
+    starts = [(0, n_r)]
+    for n_t in n_ts:
+        starts += [(2 * n_r, n_t), (2 * (n_r + n_t), n_r * n_t)]
+    radius = _tables(u, {(w, w + m) for w, m in starts},
+                     lambda block: (box_muller_radius(1.0 - block),))
+    phase = _tables(u, {(w + m, w + 2 * m) for w, m in starts},
+                    box_muller_phase)
+
+    def gaussian(w, m, mean=0.0, std=1.0):
+        z = box_muller_join(*radius[w, w + m], *phase[w + m, w + 2 * m])
+        z = complex(mean) + float(std) * z
+        if not np.isfinite(z).all():
+            raise ValueError("channel entries must be finite")
+        return z
+
+    h_u = gaussian(0, n_r)
+    v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
+    for n_t in n_ts:
+        h_d = gaussian(2 * n_r, n_t)
+        H = gaussian(2 * (n_r + n_t), n_r * n_t, mean, std)
+        yield n_t, h_u, h_d, H.reshape(-1, n_r, n_t), v
+
+
+def draw_realization(cfg, state):
+    """The ChannelRealization of stream (state.seed, state.stream_id) at
+    cfg's n_t and n_r: draw_streams on that lone stream, whose start it
+    reads through numerics.stream_generator, so the same state always
+    gives the same realization.
+    """
+    _, h_u, h_d, H, v = next(draw_streams(cfg, state.seed,
+                                          state.stream_id, (cfg.n_t,)))
+    return ChannelRealization(h_u=h_u[0], h_d=h_d[0], H=H[0], v=v[0],
                               epsilon=si_threshold(cfg))

@@ -202,12 +202,11 @@ def _parse(key, text):
     if flag.parse == "path":
         return Path(text)
     value = _parse_int(text, name)
-    if flag.parse == "seed":
-        if not 0 <= value < 2 ** 64:
-            raise UsageError(f"seed must lie in [0, 2**64), got {value}")
-    elif value < flag.least:
+    if flag.parse == "seed":  # SystemConfig states its bound
+        return value
+    if value < flag.least:
         raise UsageError(f"{key} must be >= {flag.least}")
-    elif value > flag.most:
+    if value > flag.most:
         raise UsageError(f"{key} must be <= {_BOUND_TEXT[flag.most]}")
     return value
 

@@ -36,10 +36,8 @@ import numpy as np
 from . import kernels
 from .beamform import dl_rate, optimal, zf
 from .channel import (ChannelRealization, db_to_linear, draw_realization,
-                      require_int, ricean_params, si_threshold)
-from .numerics import (_LONG_STREAM, RngState, box_muller_join,
-                       box_muller_phase, box_muller_radius,
-                       prepare_stream_drawer, stream_uniforms)
+                      draw_streams, require_int, si_threshold, stream_words)
+from .numerics import RngState, one_at_a_time, prepare_stream_drawer
 
 # two-sided 95% normal quantile
 _Z95 = 1.959963984540054
@@ -160,29 +158,6 @@ def run_trial(cfg, trial_index):
 _WORDS_PER_PASS = 1 << 16
 
 
-def _tables(u, spans, transform):
-    """{(lo, hi): views of transform(u[:, lo:hi])} for each span (lo, hi).
-
-    transform maps a block of columns to a tuple of tables of its shape,
-    elementwise. It runs once on each maximal run of the columns the spans
-    cover, and each span takes views into its run's tables, so a column
-    that several spans cover is transformed once.
-    """
-    runs = []
-    for lo, hi in sorted(spans):
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-    views = {}
-    for start, stop in runs:
-        tables = transform(u[:, start:stop])
-        for lo, hi in spans:
-            if start <= lo and hi <= stop:
-                views[lo, hi] = [t[:, lo - start:hi - start] for t in tables]
-    return views
-
-
 class _Draw(NamedTuple):
     """One chunk of trials at one n_t, as _draws yields it.
 
@@ -200,75 +175,29 @@ class _Draw(NamedTuple):
     a: np.ndarray
 
 
-def _stream_words(n_r, top):
-    """Words of each trial's stream _draws reads when the largest n_t is
-    `top`: h_u, h_d and H, two words an entry."""
-    return 2 * (n_r + top + n_r * top)
-
-
 def _chunk_trials(n_r, top):
     """Trials per chunk of _draws when the largest n_t is `top`."""
-    return max(1, _WORDS_PER_PASS // _stream_words(n_r, top))
+    return max(1, _WORDS_PER_PASS // stream_words(n_r, top))
 
 
 def _draws(cfg, trials, n_ts, chunks=None):
     """Channels of trials 0 .. trials - 1 for each n_t, chunk by chunk.
 
     Yields a _Draw for each chunk of trials and each n_t in n_ts, in that
-    order; `chunks`, a range of chunk indices, draws only those. Trial t's
-    rows are bit-identical to draw_realization(cfg with n_t,
-    RngState(cfg.seed, t)), whichever chunks are drawn. A stream is read
-    as h_u, h_d, H, each k entries taking k words as u1 and then k as u2,
-    so each n_t's words are a prefix of the largest n_t's: stream_uniforms
-    draws those once per chunk, and h_u and v are built once. Box-Muller
-    runs once per word: the radius of every word some n_t reads as u1, and
-    the cos and sin of every word some n_t reads as u2, are computed once
-    per chunk over each maximal run of such words, and every variable of
-    every n_t joins views into them. With one n_t the runs are the
-    variables' own ranges.
+    order; `chunks`, a range of chunk indices, draws only those. Trial t
+    reads stream (cfg.seed, t), and its chunk's rows are draw_streams's,
+    so they are draw_realization(cfg with n_t, RngState(cfg.seed, t)),
+    whichever chunks are drawn.
     """
-    n_r, top = cfg.n_r, max(n_ts)
-    mean, std = ricean_params(cfg.k_factor_db, cfg.omega_db)
-    words = _stream_words(n_r, top)
-    chunk = _chunk_trials(n_r, top)
+    chunk = _chunk_trials(cfg.n_r, max(n_ts))
     if chunks is None:
         chunks = range(-(-trials // chunk))
-    # (first word, entries) of h_u, then of h_d and H at each n_t
-    starts = [(0, n_r)]
-    for n_t in n_ts:
-        starts += [(2 * n_r, n_t), (2 * (n_r + n_t), n_r * n_t)]
-    u1_spans = {(w, w + m) for w, m in starts}
-    u2_spans = {(w + m, w + 2 * m) for w, m in starts}
     for k in chunks:
-        lo = k * chunk
-        hi = min(lo + chunk, trials)
-        u = stream_uniforms(cfg.seed, np.arange(lo, hi), words)
-        radius = _tables(u, u1_spans,
-                         lambda block: (box_muller_radius(1.0 - block),))
-        phase = _tables(u, u2_spans, box_muller_phase)
-
-        def gaussian(w, m, mean=0.0, std=1.0):
-            z = box_muller_join(*radius[w, w + m], *phase[w + m, w + 2 * m])
-            return complex(mean) + float(std) * z
-
-        h_u = gaussian(0, n_r)
-        with np.errstate(invalid="ignore"):  # all-zero rows are replayed below
-            v = h_u / np.sqrt(np.vecdot(h_u, h_u).real)[:, None]
-        # an all-zero h_u is redrawn from the same stream: replay that trial
-        replay = np.flatnonzero(~np.any(h_u, axis=1))
-        for n_t in n_ts:
-            h_d = gaussian(2 * n_r, n_t)
-            H = gaussian(2 * (n_r + n_t), n_r * n_t, mean, std)
-            H = H.reshape(hi - lo, n_r, n_t)
+        rows = slice(k * chunk, min((k + 1) * chunk, trials))
+        streams = np.arange(rows.start, rows.stop)
+        for n_t, h_u, h_d, H, v in draw_streams(cfg, cfg.seed, streams, n_ts):
             a = np.matmul(H.conj().transpose(0, 2, 1), v[:, :, None])[:, :, 0]
-            for i in replay:
-                r = draw_realization(cfg.replace(n_t=n_t),
-                                     RngState(cfg.seed, lo + int(i)))
-                h_u[i], h_d[i], H[i], v[i] = r.h_u, r.h_d, r.H, r.v
-                a[i] = r.effective_si_vector()
-            if not np.all(np.isfinite(h_d)):
-                raise ValueError("vector entries must be finite")
-            yield _Draw(slice(lo, hi), n_t, h_u, h_d, H, v, a)
+            yield _Draw(rows, n_t, h_u, h_d, H, v, a)
 
 
 def draw_batch(cfg):
@@ -433,11 +362,16 @@ def run_sweep(cfg, axes=None, workers=1):
               for rho, r_zf in zip(rhos, rate_zf)]
         return n - keep.size, _mean_ci(1.0 - g_zf / g_opt), tg
 
-    chunks = range(-(-n // _chunk_trials(cfg.n_r, max(n_ts))))
+    chunk = _chunk_trials(cfg.n_r, max(n_ts))
+    chunks = range(-(-n // chunk))
     columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
     stages = [(solve, chunks), (aggregate, columns)]
-    if _stream_words(cfg.n_r, max(n_ts)) >= _LONG_STREAM:
-        prepare_stream_drawer()  # stream_uniforms's drawer: workers inherit it
+    # the last chunk is the smallest: if it reads through stream_generator,
+    # make its drawer here, so the workers inherit it and numpy.random; if
+    # none does, the drawer and numpy.random are never loaded
+    if one_at_a_time(n - chunk * (len(chunks) - 1),
+                     stream_words(cfg.n_r, max(n_ts))):
+        prepare_stream_drawer()
     aggregates = iter(procs.fork_stages(stages, workers)[1])
     points = {}
     for n_t in n_ts:

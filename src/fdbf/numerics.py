@@ -10,12 +10,13 @@ independent stream addressed by (seed, stream id), whichever process or
 thread draws it: stream (seed, s) is numpy's Philox with the key
 np.array([seed, s], dtype=np.uint64), drawn from its start. `stream_uniforms`
 draws the first uniforms of many such streams, bit-identical to numpy's
-generator: long streams one at a time, short ones all at once through
-`philox_raw`, a vectorized Philox4x64-10. The long streams, and every draw
-from an `RngState`, go through `stream_generator`: one numpy Philox per
-thread, made on first use and kept, whose key, counter and buffer each
-stream resets, so no draw depends on the one before it. A caller about to
-fork makes it first (`prepare_stream_drawer`), and its children inherit it.
+generator: several short streams all at once through `philox_raw`, a
+vectorized Philox4x64-10, and long streams, or a lone one, one at a time.
+Those, and every draw from an `RngState`, go through `stream_generator`:
+one numpy Philox per thread, made on first use and kept, whose key, counter
+and buffer each stream resets, so no draw depends on the one before it. A
+caller about to fork makes it first (`prepare_stream_drawer`), and its
+children inherit it.
 """
 
 import threading
@@ -152,6 +153,14 @@ def uniforms(words):
 _LONG_STREAM = 96
 
 
+def one_at_a_time(count, m):
+    """Whether stream_uniforms reads `count` streams of m words one at a
+    time, through stream_generator: when they are long, or when there is
+    one. A lone stream of 12 to 95 words took philox_raw 260 to 460 us and
+    stream_generator 1.6 to 2.1 us on a 2-vCPU x86-64."""
+    return count == 1 or m >= _LONG_STREAM
+
+
 _thread = threading.local()
 
 
@@ -203,11 +212,12 @@ def stream_uniforms(seed, stream_ids, m):
 
     Row i equals stream_generator(seed, stream_ids[i]).random(m) bit for
     bit, the uniforms of stream (seed, stream_ids[i]). Streams of at least
-    _LONG_STREAM words are drawn one at a time that way. Shorter streams go
-    through philox_raw, all at once.
+    _LONG_STREAM words, or a lone stream, are drawn one at a time that way
+    (one_at_a_time). Several shorter streams go through philox_raw, all at
+    once.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
-    if m < _LONG_STREAM:
+    if not one_at_a_time(ids.size, m):
         return uniforms(philox_raw(seed, ids, m))
     out = np.empty((ids.size, m))
     for row, s in zip(out, ids):
@@ -267,21 +277,3 @@ def box_muller_uniforms(rng, n):
     u2 = rng.random(n)
     np.subtract(1.0, u1, out=u1)
     return u1, u2
-
-
-def sample_complex_gaussian(rng, n, mean=0.0, std=1.0):
-    """n i.i.d. complex Gaussian draws CN(mean, std^2).
-
-    Total variance is std^2, split evenly between real and imaginary parts.
-    `rng` is either an RngState (value semantics: repeated calls with the
-    same state return identical vectors) or an active numpy Generator
-    (sequential semantics: each call consumes the stream). The Box-Muller
-    transform takes exactly 2n uniforms, so the draw count per call is
-    fixed; no rejection loop is ever taken.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if std < 0:
-        raise ValueError("std must be >= 0")
-    z = box_muller(*box_muller_uniforms(rng, n))
-    return complex(mean) + float(std) * z

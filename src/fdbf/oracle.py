@@ -81,7 +81,6 @@ class OracleReport:
     best_alpha: Optional[float]
     best_rate: float
     max_violation: float
-    n_feasible: int
     degenerate: bool = False
 
 
@@ -102,17 +101,16 @@ def grid_search(realization, grid_points, rho=1.0):
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    best_idx, best_gain, n_feasible, max_violation = kernels.grid_scan(
+    best_idx, best_gain, _, max_violation = kernels.grid_scan(
         realization.h_d, realization.effective_si_vector(),
         realization.epsilon, int(grid_points))
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"),
-                            max_violation=max_violation, n_feasible=0,
-                            degenerate=True)
+                            max_violation=max_violation, degenerate=True)
     best_alpha = best_idx / (grid_points - 1)
     return OracleReport(best_alpha=best_alpha,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        max_violation=max_violation, n_feasible=int(n_feasible))
+                        max_violation=max_violation)
 
 
 def _backed_off_gain(x2, y2, eps):
@@ -218,8 +216,7 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     _, best_gain, _, max_violation = kernels.sample_scan(h_d, a, eps, W)
     return OracleReport(best_alpha=None,
                         best_rate=math.log2(1.0 + rho * best_gain),
-                        max_violation=max(max_violation, filtered_violation),
-                        n_feasible=samples)
+                        max_violation=max(max_violation, filtered_violation))
 
 
 class Verdict(NamedTuple):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fdbf
-from fdbf.channel import ChannelRealization
+from fdbf.channel import ChannelRealization, ricean_params
+from fdbf.numerics import box_muller
 
 
 def _tracked_digests(root):
@@ -79,6 +80,29 @@ def philox_generator(seed, stream):
     ints below and above 2**63 would reach numpy as floats."""
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def contract_realization(cfg, seed, stream, redraws=0):
+    """(h_u, h_d, H, v) of stream (seed, stream) at cfg's n_t and n_r, by
+    the stream contract itself: a new Generator at the stream's start,
+    read as h_u, h_d, H (row-major), each k entries taking k uniforms U as
+    u1 = 1 - U and then k as u2, joined by numerics.box_muller into z and
+    scaled to mean + std z (0 and 1, and H's Ricean mean and std), and
+    v = h_u / ||h_u||. `redraws` all-zero h_u come first, as on a stream
+    whose first h_u words are 0: each is dropped with its 2 n_r words, and
+    h_u is drawn again after it."""
+    gen = philox_generator(seed, stream)
+
+    def gaussian(k, mean=0.0, std=1.0):
+        u1 = 1.0 - gen.random(k)
+        return complex(mean) + float(std) * box_muller(u1, gen.random(k))
+
+    gen.random(2 * cfg.n_r * redraws)
+    h_u = gaussian(cfg.n_r)
+    h_d = gaussian(cfg.n_t)
+    H = gaussian(cfg.n_r * cfg.n_t, *ricean_params(cfg.k_factor_db, cfg.omega_db))
+    v = h_u / math.sqrt(np.vdot(h_u, h_u).real)
+    return h_u, h_d, H.reshape(cfg.n_r, cfg.n_t), v
 
 
 def refuse_new_generators(monkeypatch):

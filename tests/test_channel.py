@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import fdbf.channel
 from fdbf.channel import (ChannelRealization, SystemConfig, db_to_linear,
-                          draw_realization, ricean_params, si_threshold)
+                          draw_realization, draw_streams, ricean_params,
+                          si_threshold, stream_words)
 from fdbf.numerics import (RngState, box_muller_radius, norm_sq,
-                           prepare_stream_drawer, sample_complex_gaussian)
+                           prepare_stream_drawer)
 
-from conftest import philox_generator, refuse_new_generators
+from conftest import contract_realization, refuse_new_generators
 
 
 class TestDbToLinear:
@@ -76,10 +78,12 @@ class TestRiceanParams:
         assert std ** 2 == pytest.approx(1e-3, rel=1e-12)
 
     def test_entry_second_moment_statistical(self):
-        # 1e5 draws at the default SI-channel statistics: E|H_ij|^2 within 3%
-        mean, std = ricean_params(10.0, -30.0)
-        z = sample_complex_gaussian(RngState(11, 0), 100_000, mean=mean, std=std)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1e-3, rel=0.03)
+        # 1e5 entries of H at the default SI-channel statistics: E|H_ij|^2
+        # within 3%
+        cfg = SystemConfig(n_t=10, n_r=10)
+        _, _, _, H, _ = next(draw_streams(cfg, 11, np.arange(1000), (10,)))
+        assert H.size == 100_000
+        assert np.mean(np.abs(H) ** 2) == pytest.approx(1e-3, rel=0.03)
 
 
 class TestSystemConfig:
@@ -143,14 +147,46 @@ class TestDrawRealization:
 
     @pytest.mark.parametrize("stream", [0, 2**63, 2**64 - 1])
     def test_a_state_reads_through_the_drawer(self, monkeypatch, stream):
-        cfg = SystemConfig(n_t=8, seed=2**64 - 1)
-        ref = draw_realization(cfg, philox_generator(cfg.seed, stream))
-        prepare_stream_drawer()
-        refuse_new_generators(monkeypatch)
-        for _ in range(2):
-            r = draw_realization(cfg, RngState(cfg.seed, stream))
-            for name in ("h_u", "h_d", "H", "v"):
-                assert getattr(r, name).tobytes() == getattr(ref, name).tobytes()
+        # a lone stream, short (52 words) or long, is read by the drawer
+        for n_t in (8, 40):
+            cfg = SystemConfig(n_t=n_t, seed=2**64 - 1)
+            ref = contract_realization(cfg, cfg.seed, stream)
+            prepare_stream_drawer()
+            with monkeypatch.context() as patch:
+                refuse_new_generators(patch)
+                for _ in range(2):
+                    r = draw_realization(cfg, RngState(cfg.seed, stream))
+                    for got, want in zip((r.h_u, r.h_d, r.H, r.v), ref):
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("redraws", [1, 2])
+    def test_an_all_zero_uplink_is_redrawn_from_the_next_words(
+            self, monkeypatch, redraws):
+        # zero the u1 words of the stream's first `redraws` h_u: each one
+        # is dropped, and the stream's next 2 n_r words are read after it
+        cfg = SystemConfig(n_t=3, n_r=2, seed=5)
+        real = fdbf.channel.stream_uniforms
+        reads = []
+
+        def zero_uplinks(seed, streams, m):
+            reads.append(m)
+            u = real(seed, streams, m)
+            for k in range(redraws):
+                u[:, 4 * k:4 * k + 2] = 0.0
+            return u
+
+        monkeypatch.setattr(fdbf.channel, "stream_uniforms", zero_uplinks)
+        r = draw_realization(cfg, RngState(cfg.seed, 4))
+        words = stream_words(cfg.n_r, cfg.n_t)
+        assert reads == [words + 4 * k for k in range(redraws + 1)]
+        ref = contract_realization(cfg, cfg.seed, 4, redraws)
+        for got, want in zip((r.h_u, r.h_d, r.H, r.v), ref):
+            assert got.tobytes() == want.tobytes()
+
+    def test_line_of_sight_si_channel_is_its_mean_exactly(self):
+        cfg = SystemConfig(n_t=3, k_factor_db=math.inf, omega_db=-20.0)
+        r = draw_realization(cfg, RngState(1, 0))
+        assert np.all(r.H == math.sqrt(0.01))
 
     def test_si_channel_mean_power(self):
         cfg = SystemConfig(n_t=4, n_r=4, seed=2)

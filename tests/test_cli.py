@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fdbf.channel
 import fdbf.cli
 import fdbf.experiment
 import fdbf.procs
@@ -163,6 +164,22 @@ class TestSettings:
             assert main(["sweep", "--trials", "5", f"--seed={bad}",
                          "--out-dir", str(tmp_path)]) == 2
             assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env", [
+        (["--seed", "-1"], None), (["--seed", "18446744073709551616"], None),
+        ([], "-1")], ids=["flag -1", "flag 2**64", "FDBF_SEED -1"])
+    def test_the_seed_bound_is_systemconfigs(self, monkeypatch, capsys,
+                                             argv, env):
+        # the CLI states no bound of its own: SystemConfig's refusal is the
+        # usage error, for every command
+        bad = argv[1] if argv else env
+        if env is not None:
+            monkeypatch.setenv("FDBF_SEED", env)
+        with pytest.raises(ValueError) as exc:
+            SystemConfig(seed=int(bad))
+        for command in ("sweep", "verify", "bench"):
+            assert main([command, *argv]) == 2
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize("command, flag", [
         ("sweep", "--trials"), ("verify", "--instances"),
@@ -408,13 +425,13 @@ class TestSweepCommand:
         seed = "3"
         pinned = json.loads(BENCHMARK_DIGESTS.read_text())[workload][seed]
         lengths = set()
-        real_uniforms = fdbf.experiment.stream_uniforms
+        real_uniforms = fdbf.channel.stream_uniforms
 
         def recording_uniforms(seed_, streams, m):
             lengths.add(m)
             return real_uniforms(seed_, streams, m)
 
-        monkeypatch.setattr(fdbf.experiment, "stream_uniforms",
+        monkeypatch.setattr(fdbf.channel, "stream_uniforms",
                             recording_uniforms)
         usable = os.sched_getaffinity(0)
         for cpus in ({0}, usable):
@@ -708,7 +725,8 @@ def spying(stages, workers=1):
 procs.fork_stages = spying
 rc = fdbf.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "new": sorted(new), "parent": os.getpid(),
-                  "pids": sorted(pids)}))
+                  "pids": sorted(pids),
+                  "parent_random": "numpy.random" in sys.modules}))
 """
 
 
@@ -724,17 +742,36 @@ class TestWorkerImports:
          "--grid-points", "100"],
         # 2 (2 + 16 + 32) = 100 words a trial: the long-stream drawer
         ["sweep", "--nt", "16", "--trials", "300", "--c-db", "-120,-110"],
-    ], ids=["verify", "short-samples verify", "long-stream sweep"])
+        # 64-word streams in chunks of 1024 trials: the last chunk is one
+        # trial, a lone stream, which the drawer reads
+        ["sweep", "--nt", "2..10", "--trials", "1025"],
+    ], ids=["verify", "short-samples verify", "long-stream sweep",
+            "one-trial chunk sweep"])
     def test_workers_import_nothing_new(self, tmp_path, argv):
         if argv[0] == "sweep":
             argv = argv + ["--out-dir", str(tmp_path)]
+        report = self.run_reporting(argv)
+        assert report["pids"] and report["parent"] not in report["pids"]
+        assert report["new"] == []
+
+    # figure_nt's sizes: every chunk holds several short streams, which
+    # philox_raw draws, so the parent never loads numpy.random (5.5 MB of
+    # a fresh interpreter's peak memory after one 100-trial sweep)
+    @pytest.mark.parametrize("trials", ["100", "10000"])
+    def test_a_short_stream_sweep_leaves_numpy_random_unloaded(self, tmp_path,
+                                                               trials):
+        report = self.run_reporting(["sweep", "--nt", "2..10", "--trials",
+                                     trials, "--out-dir", str(tmp_path)])
+        assert report["parent_random"] is False
+
+    @staticmethod
+    def run_reporting(argv):
         done = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS, *argv],
                               env=child_env(), capture_output=True, text=True,
                               timeout=120, check=True)
         report = json.loads(done.stdout.splitlines()[-1])
         assert report["rc"] == 0
-        assert report["pids"] and report["parent"] not in report["pids"]
-        assert report["new"] == []
+        return report
 
 
 class TestBenchCommand:

@@ -10,9 +10,8 @@ import fdbf.numerics
 from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
                            box_muller_join, box_muller_phase,
                            box_muller_radius, box_muller_uniforms, inner, matvec_adj, norm_sq,
-                           philox_raw, prepare_stream_drawer,
-                           sample_complex_gaussian, stream_generator,
-                           stream_uniforms, uniforms)
+                           one_at_a_time, philox_raw, prepare_stream_drawer,
+                           stream_generator, stream_uniforms, uniforms)
 from fdbf.procs import fork_stages
 
 from conftest import philox_generator, refuse_new_generators
@@ -72,25 +71,25 @@ class TestMatvecAdj:
 class TestRngState:
     def test_value_semantics(self):
         st = RngState(42, 3)
-        x = sample_complex_gaussian(st, 8)
-        y = sample_complex_gaussian(st, 8)
+        x = box_muller(*box_muller_uniforms(st, 8))
+        y = box_muller(*box_muller_uniforms(st, 8))
         assert np.array_equal(x, y)
 
     def test_generator_semantics_advance(self):
         gen = philox_generator(42, 3)
-        x = sample_complex_gaussian(gen, 8)
-        y = sample_complex_gaussian(gen, 8)
+        x = box_muller(*box_muller_uniforms(gen, 8))
+        y = box_muller(*box_muller_uniforms(gen, 8))
         assert not np.array_equal(x, y)
 
     def test_streams_do_not_collide(self):
-        x = sample_complex_gaussian(RngState(42, 0), 8)
-        y = sample_complex_gaussian(RngState(42, 1), 8)
+        x = box_muller(*box_muller_uniforms(RngState(42, 0), 8))
+        y = box_muller(*box_muller_uniforms(RngState(42, 1), 8))
         assert not np.array_equal(x, y)
 
     def test_fixed_draw_count_per_call(self):
         # n complex draws consume exactly 2n uniforms, no rejection loop
         split = philox_generator(9, 2)
-        sample_complex_gaussian(split, 5)
+        box_muller_uniforms(split, 5)
         tail_after_5 = split.random(4)
         straight = philox_generator(9, 2)
         straight.random(10)
@@ -142,6 +141,20 @@ class TestStreamUniforms:
         monkeypatch.setattr(fdbf.numerics, "philox_raw", counting)
         stream_uniforms(3, [0, 1], m)
         assert bool(calls) == vectorized
+        assert one_at_a_time(2, m) != vectorized
+
+    @pytest.mark.parametrize("stream", [[2**64 - 1], 0])
+    @pytest.mark.parametrize("m", [1, _LONG_STREAM - 1])
+    def test_a_lone_stream_reads_through_the_drawer(self, monkeypatch,
+                                                    stream, m):
+        ref = philox_generator(3, np.ravel(stream)[0]).random(m)
+        prepare_stream_drawer()
+        monkeypatch.setattr(fdbf.numerics, "philox_raw", None)
+        refuse_new_generators(monkeypatch)
+        assert one_at_a_time(1, m)
+        u = stream_uniforms(3, stream, m)
+        assert u.shape == (1, m)
+        np.testing.assert_array_equal(u[0], ref)
 
 
 class TestStreamDrawer:
@@ -278,26 +291,14 @@ class TestBoxMuller:
 
 class TestComplexGaussian:
     def test_variance_split_and_mean(self):
-        z = sample_complex_gaussian(RngState(1, 0), 200_000, mean=2.0, std=3.0)
-        centered = z - 2.0
-        second_moment = np.mean(np.abs(centered) ** 2)
-        assert second_moment == pytest.approx(9.0, rel=0.02)
-        assert np.var(centered.real) == pytest.approx(4.5, rel=0.03)
-        assert np.var(centered.imag) == pytest.approx(4.5, rel=0.03)
-        assert np.mean(z) == pytest.approx(2.0, abs=0.02)
-
-    def test_zero_std_returns_mean_exactly(self):
-        z = sample_complex_gaussian(RngState(1, 0), 10, mean=1.5 - 0.5j, std=0.0)
-        assert np.all(z == 1.5 - 0.5j)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            sample_complex_gaussian(RngState(0), 0)
-        with pytest.raises(ValueError):
-            sample_complex_gaussian(RngState(0), 4, std=-1.0)
+        z = box_muller(*box_muller_uniforms(RngState(1, 0), 200_000))
+        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
+        assert np.var(z.real) == pytest.approx(0.5, rel=0.03)
+        assert np.var(z.imag) == pytest.approx(0.5, rel=0.03)
+        assert np.mean(z) == pytest.approx(0.0, abs=0.01)
 
     def test_isotropy_of_phase(self):
-        z = sample_complex_gaussian(RngState(3, 1), 100_000)
+        z = box_muller(*box_muller_uniforms(RngState(3, 1), 100_000))
         # rotating by i leaves the distribution invariant; compare moments
         assert np.mean(z) == pytest.approx(0.0, abs=0.02)
         assert np.mean(z ** 2) == pytest.approx(0.0, abs=0.02)
