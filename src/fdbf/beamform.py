@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import PARALLEL_RTOL, as_cmatrix, as_cvector, inner, matvec_adj, norm_sq
+from .numerics import PARALLEL_TOL_SQ, as_cmatrix, as_cvector, inner, matvec_adj, norm_sq
 
 
 class DegenerateParallelError(ValueError):
@@ -146,11 +146,11 @@ def family(alpha, h_d, a):
 def _member(alpha, h_d, a, p):
     """family(alpha, h_d, a) for checked inputs and p from _leakage_split."""
     w_un = h_d - alpha * p
-    n = math.sqrt(norm_sq(w_un))
-    if n <= PARALLEL_RTOL * math.sqrt(norm_sq(h_d)):
+    w2 = norm_sq(w_un)
+    if w2 <= PARALLEL_TOL_SQ * norm_sq(h_d):
         raise DegenerateParallelError(
             "h_d is parallel to the leakage direction; w(1) has no direction")
-    w = w_un / n
+    w = w_un / math.sqrt(w2)
     return BeamformerSolution(w=w, dl_gain=abs(inner(h_d, w)) ** 2, norm_w=1.0,
                               alpha=float(alpha), si_power=abs(inner(a, w)) ** 2)
 
@@ -179,9 +179,9 @@ def optimal(h_d, H, v, epsilon):
     Single pass: the effective leakage direction a = H^H v and its squared
     norm are computed once and alpha* follows in O(n_t n_r) arithmetic.
     In the parallel degenerate corner (h_d parallel to a within
-    PARALLEL_RTOL, with the cap active) the optimum transmits along h_d at
-    reduced power so the leakage sits exactly on the cap; everywhere else
-    the returned vector has unit norm.
+    numerics.PARALLEL_TOL_SQ, with the cap active) the optimum transmits
+    along h_d at reduced power so the leakage sits exactly on the cap;
+    everywhere else the returned vector has unit norm.
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -198,7 +198,7 @@ def optimal(h_d, H, v, epsilon):
     q2 = norm_sq(q)
     al, back2 = closed_form(hd2, gram, mag, q2, epsilon)
     # under an active cap (al != 0), h_d parallel to a takes the corner
-    if al == 0.0 or q2 > PARALLEL_RTOL ** 2 * hd2:
+    if al == 0.0 or q2 > PARALLEL_TOL_SQ * hd2:
         try:
             return _member(al, h_d, a, p)
         except DegenerateParallelError:

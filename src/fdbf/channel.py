@@ -244,7 +244,7 @@ def draw_streams(cfg, seed, streams, n_ts):
 def draw_realization(cfg, state):
     """The ChannelRealization of stream (state.seed, state.stream_id) at
     cfg's n_t and n_r: draw_streams on that lone stream, whose start it
-    reads through numerics.stream_generator, so the same state always
+    reads through numerics.stream_uniforms, so the same state always
     gives the same realization.
     """
     _, h_u, h_d, H, v = next(draw_streams(cfg, state.seed,

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__, procs
 from .beamform import SubnormalLeakageError
-from .channel import SystemConfig, db_to_linear, si_threshold
+from .channel import SystemConfig, db_to_linear, si_threshold, stream_words
 from .experiment import SweepAxes, ZeroRateError, draw_realizations, run_sweep
 from .numerics import RngState, prepare_stream_drawer
 from .oracle import (ACTIVITY_TOL, GRID_SLACK_TOL, SAMPLE_SLACK_TOL, certify,
@@ -103,39 +103,35 @@ def _number(text, name):
 
 
 def parse_axis(text, name, default_step, integer=False):
-    """Parse a scalar, comma list, or lo..hi[:step] range into a value list."""
+    """Parse a scalar, comma list, or lo..hi[:step] range into a value list.
+
+    With integer, every value parses exactly as an integer (_parse_int).
+    """
+    number = _parse_int if integer else _number
     text = text.strip()
     if ".." in text:
         span, _, step_text = text.partition(":")
         lo_text, sep, hi_text = span.partition("..")
         if not sep or ".." in hi_text or not lo_text or not hi_text:
             raise UsageError(f"{name}: malformed range {text!r}")
-        lo = _number(lo_text, name)
-        hi = _number(hi_text, name)
-        step = _number(step_text, name) if step_text else float(default_step)
+        lo = number(lo_text, name)
+        hi = number(hi_text, name)
+        step = number(step_text, name) if step_text else default_step
         if not all(map(math.isfinite, (lo, hi, step))):
             raise UsageError(f"{name}: range bounds and step must be finite")
         if step <= 0:
             raise UsageError(f"{name}: step must be positive")
         if hi < lo:
             raise UsageError(f"{name}: range must be ascending")
-        span = (hi - lo) / step + 1e-9  # may be huge or inf: bound it first
+        # exact for integers; floats may make it huge or inf: bound it first
+        span = (hi - lo) // step if integer else (hi - lo) / step + 1e-9
         # a list pointer and a float object per value
         size, memory = 32 * (span + 1.0), _physical_bytes()
         if size > memory:
             raise UsageError(f"{name} = {text} needs about {size:.0f} bytes, "
                              f"more than the {memory} bytes of physical memory")
-        values = [lo + k * step for k in range(int(math.floor(span)) + 1)]
-    elif "," in text:
-        values = [_number(t, name) for t in text.split(",")]
-    else:
-        values = [_number(text, name)]
-    if integer:
-        for v in values:
-            if not math.isfinite(v) or v != int(v):
-                raise UsageError(f"{name}: expected integers, got {v}")
-        return [int(v) for v in values]
-    return values
+        return [lo + k * step for k in range(int(math.floor(span)) + 1)]
+    return [number(t, name) for t in text.split(",")]
 
 
 def _parse_int(text, name):
@@ -267,20 +263,21 @@ class Settings:
         # bytes each count sizes: the gains a sweep keeps (a float64 per cap,
         # gain_zf and a flag per trial and n_t), each verify worker's sampling
         # candidates, the realizations verify certifies and bench times, and
-        # one trial's stream of 2 (n_r + n_t + n_r n_t) words per sweep worker
+        # one trial's stream of float64 uniforms per sweep worker
         n_t, n_r = max(self.nt), self.nr
         realization = 16 * (2 * n_r + n_t + n_r * n_t) + _REALIZATION_OVERHEAD
         needs = {"trials": self.trials * len(set(self.nt)) * (8 * len(self.c_db) + 9),
                  "samples": self.samples * 16 * n_t * self.workers,
                  "repeats": self.repeats * realization,
                  "instances": self.instances * realization,
-                 "nr": self.workers * 16 * (n_r + n_t + n_r * n_t)}
+                 "nr": self.workers * 8 * stream_words(n_r, n_t)}
+        named = {key: f"{key} = {getattr(self, key)} needs" for key in needs}
+        named["nr"] = f"nr = {n_r} and nt = {n_t} need"  # the largest n_t
         memory = _physical_bytes()
         for key, size in needs.items():
             if key in command.flags and size > memory:
-                raise UsageError(f"{key} = {getattr(self, key)} needs about "
-                                 f"{size} bytes, more than the {memory} bytes "
-                                 f"of physical memory")
+                raise UsageError(f"{named[key]} about {size} bytes, more than "
+                                 f"the {memory} bytes of physical memory")
         # every model point the run will build, so a bad value is a usage
         # error here and never an uncaught ValueError mid-run
         try:

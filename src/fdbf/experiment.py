@@ -366,9 +366,9 @@ def run_sweep(cfg, axes=None, workers=1):
     chunks = range(-(-n // chunk))
     columns = [(j, k) for j in range(len(n_ts)) for k in range(len(eps))]
     stages = [(solve, chunks), (aggregate, columns)]
-    # the last chunk is the smallest: if it reads through stream_generator,
-    # make its drawer here, so the workers inherit it and numpy.random; if
-    # none does, the drawer and numpy.random are never loaded
+    # the last chunk is the smallest: if it reads one stream at a time, make
+    # the drawer here, so the workers inherit it and numpy.random; if none
+    # does, the drawer and numpy.random are never loaded
     if one_at_a_time(n - chunk * (len(chunks) - 1),
                      stream_words(cfg.n_r, max(n_ts))):
         prepare_stream_drawer()

@@ -29,9 +29,7 @@ import numpy as np
 
 from .beamform import (_NORMAL_MIN, SubnormalLeakageError, _leakage_split,
                        closed_form)
-from .numerics import PARALLEL_RTOL
-
-_PAR_TOL_SQ = PARALLEL_RTOL ** 2  # squared relative parallelism threshold
+from .numerics import PARALLEL_TOL_SQ
 
 # the one kernel implementation; only perfbench records it
 BACKEND = "numpy"
@@ -69,6 +67,16 @@ _NOT_FINITE = "h_d and a must be finite, with ||h_d||^2 ||a||^2 below the float6
 # Like beamform._leakage_split, whose bound and error it shares, it
 # rejects a subnormal ||a||^2.
 _NOT_FINITE_BATCH = _NOT_FINITE + ", and ||h_d||^4 a normal float64 unless h_d = 0"
+
+
+def _check_instance(hd2, gram, eps):
+    """The input rule of one instance, from its Python floats ||h_d||^2
+    and ||a||^2 and its cap: ValueError unless hd2 * gram is finite and
+    0 <= eps < inf."""
+    if not math.isfinite(hd2 * gram):
+        raise ValueError(_NOT_FINITE)
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _dot_rows(x, y):
@@ -142,7 +150,7 @@ def solve_batch(h_d, a, eps):
     p = a * coef[:, None]
     q = h_d - p
     q2 = _dot_rows(q.conj(), q).real
-    tol = _PAR_TOL_SQ * hd2
+    tol = PARALLEL_TOL_SQ * hd2
     zf_ok = q2 > tol
     cq = _dot_rows(hc, q)
     gain_zf = np.divide(cq.real ** 2 + cq.imag ** 2, q2,
@@ -203,15 +211,12 @@ def solve_one(h_d, H, v, eps):
     p2 = mag / gram if gram else 0.0
     q2 = float(np.vdot(q, q).real)
     hd2 = q2 + p2
-    if not math.isfinite(hd2 * gram):
-        raise ValueError(_NOT_FINITE)
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    _check_instance(hd2, gram, eps)
     alpha, back2 = closed_form(hd2, gram, mag, q2, eps)
     w2, gain, si = _gram_gains(q2, p2, mag, 1.0 - alpha)
     # under an active cap (alpha != 0) the corner is h_d parallel to a,
     # reported as solve_batch reports it
-    if (q2 if alpha else w2) <= _PAR_TOL_SQ * hd2:
+    if (q2 if alpha else w2) <= PARALLEL_TOL_SQ * hd2:
         return alpha, eps, back2 * hd2, math.sqrt(back2)
     return alpha, si, gain, 1.0
 
@@ -232,12 +237,14 @@ def grid_scan(h_d, a, eps, n_grid):
     downlink gain among candidates whose leakage meets eps + GRID_FEAS_TOL.
     Returns (best_idx, best_gain, n_feasible, max_violation) where
     max_violation = max(0, si - eps) over accepted candidates and
-    best_idx = -1 when no candidate is feasible.
+    best_idx = -1 when no candidate is feasible. Raises ValueError as
+    solve_one does on the channels and the cap.
     """
     h_d, a = _cvec(h_d), _cvec(a)
-    p = _leakage_split(h_d, a)[0]
+    p, _, gram, _ = _leakage_split(h_d, a)
+    hd2 = float(np.vdot(h_d, h_d).real)
+    _check_instance(hd2, gram, eps)
     denom = float(max(n_grid - 1, 1))
-    hd2 = np.vdot(h_d, h_d).real
     best_idx = -1
     best_gain = -1.0
     n_feasible = 0
@@ -247,7 +254,7 @@ def grid_scan(h_d, a, eps, n_grid):
         alphas = idx / denom
         W = h_d[None, :] - alphas[:, None] * p[None, :]
         w2 = np.einsum("ij,ij->i", W.conj(), W).real
-        live = w2 > _PAR_TOL_SQ * hd2
+        live = w2 > PARALLEL_TOL_SQ * hd2
         safe_w2 = np.where(live, w2, 1.0)
         ca = W @ a.conj()
         si = (ca.real ** 2 + ca.imag ** 2) / safe_w2
@@ -290,8 +297,8 @@ def sample_scan(h_d, a, eps, W):
     bits depend on the rows passed with it). So scanning W[k:k+1] gives row
     k the same bits as scanning all of W.
 
-    h_d and a are 1-D of one length n_t >= 1 and W is (m, n_t), or
-    ValueError.
+    h_d and a are 1-D of one length n_t >= 1 and W is (m, n_t), and the
+    channels and cap meet solve_one's rule, or ValueError.
     """
     h_d, a, W = _cvec(h_d), _cvec(a), _cvec(W)
     if (h_d.ndim != 1 or h_d.shape != a.shape or W.shape[1:] != h_d.shape
@@ -299,6 +306,7 @@ def sample_scan(h_d, a, eps, W):
         raise ValueError(f"h_d and a must be (n_t,) arrays of the same shape with "
                          f"n_t >= 1 and W (m, n_t), got {h_d.shape}, {a.shape} "
                          f"and {W.shape}")
+    _check_instance(float(np.vdot(h_d, h_d).real), float(np.vdot(a, a).real), eps)
     Wr, Wi = W.real, W.imag
     w2 = _row_sums(Wr * Wr + Wi * Wi)
     # Re and Im of h_d^H w and a^H w, one row of the result each

@@ -1,7 +1,8 @@
-"""Complex dense vector/matrix primitives and seeded complex-Gaussian sampling.
+"""Complex dense vector/matrix primitives and counter-based random streams.
 
 All downstream modules build on the handful of operations defined here:
-Hermitian inner products, adjoint matrix-vector products and deterministic
+Hermitian inner products, adjoint matrix-vector products, the uniforms of
+seeded random streams and the Box-Muller transform that makes them
 circularly-symmetric Gaussian draws.
 
 Vectors are 1-D complex128 ndarrays, matrices are 2-D complex128 ndarrays.
@@ -9,14 +10,13 @@ Random streams are counter-based so that every Monte Carlo trial can own an
 independent stream addressed by (seed, stream id), whichever process or
 thread draws it: stream (seed, s) is numpy's Philox with the key
 np.array([seed, s], dtype=np.uint64), drawn from its start. `stream_uniforms`
-draws the first uniforms of many such streams, bit-identical to numpy's
-generator: several short streams all at once through `philox_raw`, a
-vectorized Philox4x64-10, and long streams, or a lone one, one at a time.
-Those, and every draw from an `RngState`, go through `stream_generator`:
-one numpy Philox per thread, made on first use and kept, whose key, counter
-and buffer each stream resets, so no draw depends on the one before it. A
-caller about to fork makes it first (`prepare_stream_drawer`), and its
-children inherit it.
+is the one reader of such streams. It draws the first uniforms of many of
+them, bit-identical to numpy's generator: several short streams all at once
+through `philox_raw`, a vectorized Philox4x64-10, and long streams, or a
+lone one, one at a time through this thread's numpy Philox, made on first
+use and kept, whose key, counter and buffer each stream resets, so no draw
+depends on the one before it. A caller about to fork makes it first
+(`prepare_stream_drawer`), and its children inherit it.
 """
 
 import threading
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PARALLEL_RTOL = 1e-12  # |residual| / |input| below which a projection counts as zero
+PARALLEL_TOL_SQ = 1e-24  # ||residual||^2 / ||input||^2 at or below which a projection is zero
 
 
 def as_cvector(x):
@@ -155,9 +155,9 @@ _LONG_STREAM = 96
 
 def one_at_a_time(count, m):
     """Whether stream_uniforms reads `count` streams of m words one at a
-    time, through stream_generator: when they are long, or when there is
+    time, through _stream_generator: when they are long, or when there is
     one. A lone stream of 12 to 95 words took philox_raw 260 to 460 us and
-    stream_generator 1.6 to 2.1 us on a 2-vCPU x86-64."""
+    _stream_generator 1.6 to 2.1 us on a 2-vCPU x86-64."""
     return count == 1 or m >= _LONG_STREAM
 
 
@@ -180,7 +180,7 @@ def _drawer():
         return _thread.drawer
 
 
-def stream_generator(seed, stream_id):
+def _stream_generator(seed, stream_id):
     """This thread's Generator, set to the start of stream (seed, stream_id).
 
     It draws what a new Generator on the stream's own Philox draws, without
@@ -210,7 +210,7 @@ def prepare_stream_drawer():
 def stream_uniforms(seed, stream_ids, m):
     """First m uniforms of each stream (seed, s) for s in stream_ids.
 
-    Row i equals stream_generator(seed, stream_ids[i]).random(m) bit for
+    Row i equals _stream_generator(seed, stream_ids[i]).random(m) bit for
     bit, the uniforms of stream (seed, stream_ids[i]). Streams of at least
     _LONG_STREAM words, or a lone stream, are drawn one at a time that way
     (one_at_a_time). Several shorter streams go through philox_raw, all at
@@ -221,7 +221,7 @@ def stream_uniforms(seed, stream_ids, m):
         return uniforms(philox_raw(seed, ids, m))
     out = np.empty((ids.size, m))
     for row, s in zip(out, ids):
-        stream_generator(seed, s).random(out=row)
+        _stream_generator(seed, s).random(out=row)
     return out
 
 
@@ -262,18 +262,3 @@ def box_muller(u1, u2):
     """
     return box_muller_join(box_muller_radius(u1), *box_muller_phase(u2))
 
-
-def box_muller_uniforms(rng, n):
-    """The 2n uniforms of n Box-Muller draws: all n of u1, then all n of u2.
-
-    u1 = 1 - U lies in (0, 1], which keeps log() finite; u2 lies in [0, 1).
-    rng is a numpy Generator, which this advances by 2n words, or an
-    RngState, whose stream stream_generator reads from its start: both give
-    the same bits for the same stream.
-    """
-    if isinstance(rng, RngState):
-        rng = stream_generator(rng.seed, rng.stream_id)
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    np.subtract(1.0, u1, out=u1)
-    return u1, u2

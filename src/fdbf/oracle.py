@@ -27,7 +27,8 @@ import numpy as np
 
 from . import kernels
 from .beamform import DegenerateParallelError, dl_rate, family, optimal, si_power
-from .numerics import box_muller, box_muller_uniforms, norm_sq
+from .channel import require_int
+from .numerics import RngState, box_muller, norm_sq, stream_uniforms
 
 # The sampling filter. A candidate is w = r (cos t + i sin t) entrywise, from
 # an exact float64 radius r and phase t; the filter takes w' with float32
@@ -99,11 +100,12 @@ def grid_search(realization, grid_points, rho=1.0):
     at SNR rho. An all-infeasible grid (parallel corner) comes back flagged
     degenerate with best_rate = -inf.
     """
+    require_int(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     best_idx, best_gain, _, max_violation = kernels.grid_scan(
         realization.h_d, realization.effective_si_vector(),
-        realization.epsilon, int(grid_points))
+        realization.epsilon, grid_points)
     if best_idx < 0:
         return OracleReport(best_alpha=None, best_rate=float("-inf"),
                             max_violation=max_violation, degenerate=True)
@@ -184,11 +186,10 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     Directions are normalized i.i.d. complex Gaussians; any candidate whose
     unit-power leakage exceeds the cap is backed off in power until the
     leakage sits exactly on it, so every sample yields a feasible candidate.
-    The draw takes 2 * samples * n_t uniforms (numerics.box_muller_uniforms):
-    an RngState's come from the start of its stream, through
-    numerics.stream_generator, and a Generator ends that many uniforms
-    further on. Both give the same result
-    for the same stream, bit for bit.
+    rng is an RngState: the draw is the first 2 samples n_t uniforms of its
+    stream, read by numerics.stream_uniforms and laid out as
+    channel.draw_streams lays out a variable: u1 = 1 - the first half, u2
+    the second.
 
     Two passes over the draw give the result of one exact scan of every
     candidate: _sampling_filter bounds every candidate's gain with float32
@@ -200,15 +201,18 @@ def random_feasible_search(realization, samples, rng, rho=1.0):
     ones and the filter's leakage of the rest. Both round the same formula
     eps / si * si - eps, so it stays within 2 ulp of eps either way.
     """
+    require_int(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    samples = int(samples)
+    if not isinstance(rng, RngState):
+        raise TypeError(f"rng must be an RngState, got {type(rng).__name__}")
     h_d = realization.h_d
     a = realization.effective_si_vector()
     eps = realization.epsilon
     n_t = h_d.shape[0]
-    U1, U2 = (u.reshape(samples, n_t)
-              for u in box_muller_uniforms(rng, samples * n_t))
+    U1, U2 = stream_uniforms(rng.seed, rng.stream_id,
+                             2 * samples * n_t).reshape(2, samples, n_t)
+    np.subtract(1.0, U1, out=U1)
     rows, filtered_violation = _sampling_filter(h_d, a, eps, U1, U2)
     if rows is not None:
         U1, U2 = U1[rows], U2[rows]

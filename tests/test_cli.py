@@ -75,6 +75,20 @@ class TestParseAxis:
             with pytest.raises(UsageError):
                 parse_axis(bad, "x", 2, integer=True)
 
+    def test_integers_parse_exactly(self):
+        # as counts do (_parse_int), never through a float: 2**53 + 1 has
+        # no double, 2.0000000000000001 rounds to 2.0, and a float quotient
+        # of the range rounds up past hi
+        big = 2 ** 53 + 1
+        assert parse_axis(str(big), "x", 2, integer=True) == [big]
+        assert parse_axis(f"{big}..{big + 2}", "x", 2, integer=True) == [big, big + 2]
+        assert parse_axis(f"1,{big}", "x", 2, integer=True) == [1, big]
+        assert parse_axis("0..299999999999999999999:100000000000000000000", "x", 2,
+                          integer=True) == [0, 10 ** 20, 2 * 10 ** 20]
+        for bad in ("2.0000000000000001", "2..4:1.0000000000000001"):
+            with pytest.raises(UsageError, match="x: expected an integer"):
+                parse_axis(bad, "x", 2, integer=True)
+
     @pytest.mark.parametrize("bad", ["10..2", "2..", "..4", "2..4:0",
                                      "2..4:-1", "1..2..3", "abc", "1,,2"])
     def test_malformed(self, bad):
@@ -248,8 +262,28 @@ class TestSettings:
         err = refused_before_allocating(
             ["sweep", "--nr", "100000000", "--trials", "10",
              "--out-dir", str(tmp_path)], capsys)
-        assert err.startswith("error: nr = 100000000 needs about 4800000032 bytes")
+        assert err.startswith("error: nr = 100000000 and nt = 2 need about "
+                              "4800000032 bytes")
         assert "repeats" not in err
+
+    def test_huge_transmit_array_is_refused_before_allocating(self, monkeypatch,
+                                                               tmp_path, capsys):
+        # the stream grows with n_t as much as with n_r: the bound names both
+        # and counts channel.stream_words float64 words per worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n_t = 2 ** 53 + 1
+        err = refused_before_allocating(
+            ["sweep", "--nt", str(n_t), "--trials", "10",
+             "--out-dir", str(tmp_path)], capsys)
+        size = 8 * fdbf.channel.stream_words(2, n_t)
+        assert err.startswith(f"error: nr = 2 and nt = {n_t} need about {size} bytes")
+
+    @pytest.mark.parametrize("flag", ["--nt", "--nr"])
+    def test_integer_flags_share_one_parser(self, flag, capsys):
+        # an axis of integers and a count refuse the same text alike
+        assert main(["sweep", flag, "2.0000000000000001", "--trials", "10"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag}: expected an integer, got '2.0000000000000001'\n")
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("flag, value", [

@@ -8,7 +8,7 @@ from fdbf import kernels
 from fdbf.beamform import DegenerateParallelError, family, optimal, zf
 from fdbf.channel import SystemConfig, si_threshold
 from fdbf.experiment import draw_batch
-from fdbf.numerics import inner, matvec_adj, norm_sq
+from fdbf.numerics import PARALLEL_TOL_SQ, inner, matvec_adj, norm_sq
 
 from conftest import canonical_realization, random_instance
 
@@ -113,7 +113,7 @@ def _solve_batch_one_cap(h_d, a, eps):
     bit for bit."""
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    tol_sq = kernels._PAR_TOL_SQ
+    tol_sq = PARALLEL_TOL_SQ
     hh = np.einsum("ij,ij->i", h_d.conj(), h_d)
     hd2 = hh.real
     gram = np.einsum("ij,ij->i", a.conj(), a).real
@@ -161,7 +161,7 @@ def _solve_batch_one_cap_einsum(h_d, a, eps):
     agree with it to within _EINSUM_GAIN_ULPS and _EINSUM_SI_ULPS."""
     h_d = np.ascontiguousarray(h_d, dtype=np.complex128)
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    tol_sq = kernels._PAR_TOL_SQ
+    tol_sq = PARALLEL_TOL_SQ
     hd2 = np.einsum("ij,ij->i", h_d.conj(), h_d).real
     gram = np.einsum("ij,ij->i", a.conj(), a).real
     c = np.einsum("ij,ij->i", a.conj(), h_d)
@@ -433,6 +433,31 @@ class TestBadInputs:
         r = canonical_realization()
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             kernels.solve_one(r.h_d, r.H, r.v, eps)
+
+    # the scans apply solve_one's rule: each of these once came back as a
+    # report (a rate above the optimum at eps = nan, nan at h_d = nan, an
+    # all-infeasible "degenerate" grid) or as math.sqrt's domain error
+    @pytest.mark.parametrize("h_d, a", [
+        ([1.0, np.nan], [1.0, 0.0]),
+        ([1.0, 0.5j], [np.nan, 0.1j]),
+        ([np.inf, 0.5j], [0.0, 0.0]),
+        ([1e200, 0.5j], [1e200, 0.1j]),
+    ], ids=["nan_channel", "nan_leakage", "inf_no_leakage", "overflow"])
+    @pytest.mark.parametrize("scan", ["grid_scan", "sample_scan"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_scans_reject_non_finite_channels(self, scan, h_d, a):
+        h_d, a = np.array(h_d, dtype=complex), np.array(a, dtype=complex)
+        last = 11 if scan == "grid_scan" else np.ones((3, 2), complex)
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(kernels, scan)(h_d, a, 0.01, last)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("scan", ["grid_scan", "sample_scan"])
+    def test_scans_reject_bad_caps(self, scan, eps):
+        r = canonical_realization()
+        last = 11 if scan == "grid_scan" else np.ones((3, 2), complex)
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            getattr(kernels, scan)(r.h_d, r.effective_si_vector(), eps, last)
 
     def test_zero_cap_is_full_nulling(self):
         # eps = 0 stays valid: every row with leakage nulls it exactly

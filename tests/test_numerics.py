@@ -9,9 +9,9 @@ import pytest
 import fdbf.numerics
 from fdbf.numerics import (_LONG_STREAM, RngState, box_muller,
                            box_muller_join, box_muller_phase,
-                           box_muller_radius, box_muller_uniforms, inner, matvec_adj, norm_sq,
+                           box_muller_radius, inner, matvec_adj, norm_sq,
                            one_at_a_time, philox_raw, prepare_stream_drawer,
-                           stream_generator, stream_uniforms, uniforms)
+                           stream_uniforms, uniforms)
 from fdbf.procs import fork_stages
 
 from conftest import philox_generator, refuse_new_generators
@@ -68,32 +68,22 @@ class TestMatvecAdj:
             matvec_adj(np.ones((2, 3), complex), np.ones(3, complex))
 
 
+def gaussians(state, n):
+    """n CN(0, 1) draws from the first 2n uniforms of a state's stream, laid
+    out as the channels and the sampling oracle read them: u1 = 1 - the
+    first n, u2 the rest."""
+    u = stream_uniforms(state.seed, state.stream_id, 2 * n)[0]
+    return box_muller(1.0 - u[:n], u[n:])
+
+
 class TestRngState:
     def test_value_semantics(self):
         st = RngState(42, 3)
-        x = box_muller(*box_muller_uniforms(st, 8))
-        y = box_muller(*box_muller_uniforms(st, 8))
-        assert np.array_equal(x, y)
-
-    def test_generator_semantics_advance(self):
-        gen = philox_generator(42, 3)
-        x = box_muller(*box_muller_uniforms(gen, 8))
-        y = box_muller(*box_muller_uniforms(gen, 8))
-        assert not np.array_equal(x, y)
+        assert np.array_equal(gaussians(st, 8), gaussians(st, 8))
 
     def test_streams_do_not_collide(self):
-        x = box_muller(*box_muller_uniforms(RngState(42, 0), 8))
-        y = box_muller(*box_muller_uniforms(RngState(42, 1), 8))
-        assert not np.array_equal(x, y)
-
-    def test_fixed_draw_count_per_call(self):
-        # n complex draws consume exactly 2n uniforms, no rejection loop
-        split = philox_generator(9, 2)
-        box_muller_uniforms(split, 5)
-        tail_after_5 = split.random(4)
-        straight = philox_generator(9, 2)
-        straight.random(10)
-        assert np.array_equal(tail_after_5, straight.random(4))
+        assert not np.array_equal(gaussians(RngState(42, 0), 8),
+                                  gaussians(RngState(42, 1), 8))
 
 
 class TestVectorizedPhilox:
@@ -217,11 +207,11 @@ class TestStreamDrawer:
 
     def test_a_stream_restarts_whatever_was_drawn_before(self):
         # a 32-bit draw leaves half a word buffered, which a restart drops
-        stream_generator(3, 8).integers(0, 2**32, 3, dtype=np.uint32)
+        fdbf.numerics._stream_generator(3, 8).integers(0, 2**32, 3, dtype=np.uint32)
         for seed, stream in [(3, 8), (np.uint64(2**64 - 1), np.uint64(2**63))]:
             ref = philox_generator(seed, stream)
             halves, whole = ref.integers(0, 2**32, 5, dtype=np.uint32), ref.random(7)
-            got = stream_generator(seed, stream)
+            got = fdbf.numerics._stream_generator(seed, stream)
             np.testing.assert_array_equal(
                 got.integers(0, 2**32, 5, dtype=np.uint32), halves)
             np.testing.assert_array_equal(got.random(7), whole)
@@ -233,16 +223,16 @@ class TestStreamDrawer:
 
     @pytest.mark.parametrize("n", [1, 5, _LONG_STREAM // 2 - 1, _LONG_STREAM // 2, 300])
     def test_a_state_draws_through_the_drawer_at_any_length(self, monkeypatch, n):
+        # the 2n words of n Box-Muller draws on one state's stream, as the
+        # sampling oracle reads them
         state = RngState(2**64 - 1, 9)
-        gen = philox_generator(state.seed, state.stream_id)
-        u1, u2 = 1.0 - gen.random(n), gen.random(n)
+        ref = philox_generator(state.seed, state.stream_id).random(2 * n)
         stream_uniforms(4, [1, 2], self.M)  # leave the drawer on another stream
         drawer = fdbf.numerics._thread.drawer
         refuse_new_generators(monkeypatch)
         for _ in range(2):
-            got = box_muller_uniforms(state, n)
-            np.testing.assert_array_equal(got[0], u1)
-            np.testing.assert_array_equal(got[1], u2)
+            got = stream_uniforms(state.seed, state.stream_id, 2 * n)
+            np.testing.assert_array_equal(got, ref[None])
         assert fdbf.numerics._thread.drawer is drawer
 
 
@@ -291,14 +281,14 @@ class TestBoxMuller:
 
 class TestComplexGaussian:
     def test_variance_split_and_mean(self):
-        z = box_muller(*box_muller_uniforms(RngState(1, 0), 200_000))
+        z = gaussians(RngState(1, 0), 200_000)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
         assert np.var(z.real) == pytest.approx(0.5, rel=0.03)
         assert np.var(z.imag) == pytest.approx(0.5, rel=0.03)
         assert np.mean(z) == pytest.approx(0.0, abs=0.01)
 
     def test_isotropy_of_phase(self):
-        z = box_muller(*box_muller_uniforms(RngState(3, 1), 100_000))
+        z = gaussians(RngState(3, 1), 100_000)
         # rotating by i leaves the distribution invariant; compare moments
         assert np.mean(z) == pytest.approx(0.0, abs=0.02)
         assert np.mean(z ** 2) == pytest.approx(0.0, abs=0.02)

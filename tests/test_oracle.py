@@ -8,8 +8,7 @@ from fdbf import kernels, oracle
 from fdbf.beamform import family, mrt, optimal, zf
 from fdbf.channel import ChannelRealization, SystemConfig, draw_realization
 from fdbf.experiment import draw_realizations
-from fdbf.numerics import (RngState, box_muller, box_muller_uniforms, matvec_adj,
-                           norm_sq)
+from fdbf.numerics import RngState, box_muller, matvec_adj, norm_sq, stream_uniforms
 from fdbf.oracle import (OracleReport, feasible, grid_search,
                          random_feasible_search, timing_bench)
 
@@ -85,6 +84,11 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(canonical, 1)
 
+    def test_rejects_a_fractional_grid(self, canonical):
+        # 2.5 points once scanned alpha in {0, 1} and reported alpha 0.667
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            grid_search(canonical, 2.5)
+
     def test_rejects_subnormal_leakage_norm(self):
         # ||a||^2 = 1e-322 leaves the projection coefficient without its bits
         v = np.array([1.0 + 0j])
@@ -122,7 +126,8 @@ class TestRandomFeasibleSearch:
         assert report.best_rate >= math.log2(1.8) - 0.05
         assert report.max_violation <= 1e-9
         # the search's winner is the exhaustive scan's (see assert_exhaustive)
-        _, rate, w = exhaustive_search(canonical, 20000, philox_generator(123, 0))
+        _, rate, w = exhaustive_search(canonical, 20000,
+                                       contract_draw(RngState(123), 40000))
         assert report.best_rate == rate
         assert feasible(w, canonical)
 
@@ -143,7 +148,7 @@ class TestRandomFeasibleSearch:
         r = canonical_realization(epsilon=2.0)  # cap above ||a||^2
         report = random_feasible_search(r, 20000, RngState(9))
         assert report.max_violation == 0.0
-        _, rate, w = exhaustive_search(r, 20000, philox_generator(9, 0))
+        _, rate, w = exhaustive_search(r, 20000, contract_draw(RngState(9), 40000))
         assert report.best_rate == rate
         assert norm_sq(w) == pytest.approx(1.0, rel=1e-12)
         best_gain = 2.0 ** report.best_rate - 1.0
@@ -155,40 +160,79 @@ class TestRandomFeasibleSearch:
         assert r1.best_rate == r2.best_rate
         assert r1.max_violation == r2.max_violation
 
-    def test_accepts_raw_generator(self, canonical):
-        gen = philox_generator(77, 0)
-        r1 = random_feasible_search(canonical, 500, gen)
-        r2 = random_feasible_search(canonical, 500, RngState(77))
-        assert r1.best_rate == r2.best_rate
+    def test_refuses_anything_but_a_state(self, canonical):
+        for rng in (philox_generator(77, 0), (77, 0), 77):
+            with pytest.raises(TypeError, match="rng must be an RngState"):
+                random_feasible_search(canonical, 500, rng)
+
+    @pytest.mark.parametrize("n_t, samples", [(1, 3001), (2, 3001), (8, 1)])
+    def test_reads_the_first_2_samples_n_t_words_of_its_stream(
+            self, monkeypatch, n_t, samples):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return stream_uniforms(*args)
+
+        monkeypatch.setattr(oracle, "stream_uniforms", recording)
+        random_feasible_search(realization_at(n_t, 0), samples, RngState(77, 5))
+        assert calls == [(77, 5, 2 * samples * n_t)]
 
     @pytest.mark.parametrize("n_t", [1, 2, 8])
     @pytest.mark.parametrize("samples", [1, 23, 24, 500, 10_000])
     def test_state_and_its_generator_give_the_same_bits(self, n_t, samples):
-        # 2 samples n_t words: at n_t = 2, 23 samples make a short stream
-        # and 24 a long one, both read by the drawer
+        # the search on a state scans what its stream's own Generator draws
+        # (the stream contract), on verify's oracle streams. 2 samples n_t
+        # words: at n_t = 2, 23 samples make a short stream and 24 a long
+        # one, both read by the drawer
         for i in range(2):
-            r = realization_at(n_t, i)
-            reports = [random_feasible_search(r, samples, rng) for rng in
-                       (RngState(3, 1_000_000 + i),
-                        philox_generator(3, 1_000_000 + i))]
-            assert len({(rep.best_rate.hex(), float(rep.max_violation).hex())
-                        for rep in reports}) == 1
+            assert_exhaustive(realization_at(n_t, i), samples,
+                              RngState(3, 1_000_000 + i))
 
     def test_rejects_zero_samples(self, canonical):
         with pytest.raises(ValueError):
             random_feasible_search(canonical, 0, RngState(0))
 
+    def test_rejects_a_fractional_sample_count(self, canonical):
+        # 2.5 samples once drew 2 silently
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            random_feasible_search(canonical, 2.5, RngState(1))
 
-class _Uniforms:
-    """A Generator stand-in that hands out preset uniform arrays in order."""
 
-    def __init__(self, *arrays):
-        self._arrays = list(arrays)
+@pytest.mark.parametrize("change", [
+    {"epsilon": math.nan}, {"epsilon": -1.0},
+    {"h_d": np.array([math.nan, 1.0 + 0j])}],
+    ids=["nan_cap", "negative_cap", "nan_channel"])
+def test_both_oracles_refuse_what_the_solvers_refuse(canonical, change):
+    # the sampling search once reported a rate above the optimum at a NaN
+    # cap, failed in math.sqrt at -1 and gave nan at a NaN channel; the
+    # grid called all three degenerate
+    r = canonical.replace(**change)
+    with pytest.raises(ValueError, match="must be finite"):
+        random_feasible_search(r, 100, RngState(1))
+    with pytest.raises(ValueError, match="must be finite"):
+        grid_search(r, 101)
 
-    def random(self, n):
-        u = self._arrays.pop(0)
-        assert u.size == n
-        return u.copy()
+
+def contract_draw(rng, k):
+    """(U, u2): the first 2k uniforms of rng's stream, k and k, by the
+    stream contract itself, a new Generator at the stream's start."""
+    gen = philox_generator(rng.seed, rng.stream_id)
+    return gen.random(k), gen.random(k)
+
+
+def feed(monkeypatch, U, u2):
+    """Make random_feasible_search draw U and then u2 on any stream, by
+    replacing oracle.stream_uniforms, its one reader. Returns (U, u2)."""
+    U, u2 = np.ravel(U), np.ravel(u2)
+    words = np.concatenate((U, u2))
+
+    def crafted(seed, stream_ids, m):
+        assert m == words.size
+        return words[None].copy()
+
+    monkeypatch.setattr(oracle, "stream_uniforms", crafted)
+    return U, u2
 
 
 def _float32_flips(u2):
@@ -214,35 +258,36 @@ def _radius_nudges(u):
             yield nudged
 
 
-def exhaustive_search(realization, samples, gen, rho=1.0):
+def exhaustive_search(realization, samples, draw, rho=1.0):
     """random_feasible_search as one exact scan of every candidate.
 
-    Draws u1 = 1 - U and then u2 as the search does, rebuilds every
-    candidate with the exact Box-Muller transform and scans them all.
-    Returns (best_idx, best_rate, the winning candidate backed off onto
-    the cap).
+    Takes the draw (U, u2) as the search does, u1 = 1 - U and u2, rebuilds
+    every candidate with the exact Box-Muller transform and scans them
+    all. Returns (best_idx, best_rate, the winning candidate backed off
+    onto the cap).
     """
     n_t = realization.h_d.shape[0]
-    u1 = 1.0 - gen.random(samples * n_t)
-    u2 = gen.random(samples * n_t)
-    W = box_muller(u1, u2).reshape(samples, n_t)
+    U, u2 = draw
+    W = box_muller(1.0 - U, u2).reshape(samples, n_t)
     k, gain, scale, _ = kernels.sample_scan(
         realization.h_d, realization.effective_si_vector(), realization.epsilon, W)
     row = W[k]
     return k, math.log2(1.0 + rho * gain), row * (scale / math.sqrt(norm_sq(row)))
 
 
-def assert_exhaustive(realization, samples, make_gen, rho=1.0):
-    """The search equals the exhaustive scan bit for bit; returns the rows
-    its filter kept for the exact scan (None for all of them)."""
-    k, rate, _ = exhaustive_search(realization, samples, make_gen(), rho)
-    report = random_feasible_search(realization, samples, make_gen(), rho)
+def assert_exhaustive(realization, samples, rng, draw=None, rho=1.0):
+    """The search on rng equals the exhaustive scan of its draw bit for
+    bit; returns the rows its filter kept for the exact scan (None for all
+    of them). The draw is rng's stream by the contract, or the one fed."""
+    n_t = realization.h_d.shape[0]
+    if draw is None:
+        draw = contract_draw(rng, samples * n_t)
+    k, rate, _ = exhaustive_search(realization, samples, draw, rho)
+    report = random_feasible_search(realization, samples, rng, rho)
     assert report.best_rate == rate
     eps = realization.epsilon
     assert 0.0 <= report.max_violation <= 2.0 * np.spacing(eps)
-    n_t = realization.h_d.shape[0]
-    U1, U2 = (u.reshape(samples, n_t)
-              for u in box_muller_uniforms(make_gen(), samples * n_t))
+    U1, U2 = (1.0 - draw[0]).reshape(samples, n_t), draw[1].reshape(samples, n_t)
     rows, _ = oracle._sampling_filter(realization.h_d, realization.effective_si_vector(),
                                       eps, U1, U2)
     assert rows is None or k in rows
@@ -261,7 +306,7 @@ class TestRandomFeasibleSearchIsExhaustive:
     def test_antennas_and_sample_counts(self, n_t, samples):
         for i in range(2):
             r = realization_at(n_t, i)
-            rows = assert_exhaustive(r, samples, lambda: philox_generator(7, 100 + i))
+            rows = assert_exhaustive(r, samples, RngState(7, 100 + i))
             if n_t == 1:
                 assert rows is None
             elif samples >= 2049:
@@ -277,7 +322,7 @@ class TestRandomFeasibleSearchIsExhaustive:
                 r = r.replace(epsilon=0.0)
             elif cap == "above":
                 r = r.replace(epsilon=2.0 * norm_sq(r.effective_si_vector()))
-            assert_exhaustive(r, 2049, lambda: philox_generator(8, i))
+            assert_exhaustive(r, 2049, RngState(8, i))
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     @pytest.mark.parametrize("n_t", [2, 3])
@@ -285,16 +330,29 @@ class TestRandomFeasibleSearchIsExhaustive:
         for i in range(2):
             r = realization_at(n_t, i)
             both = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
-            rows = assert_exhaustive(both, 2049, lambda: philox_generator(9, i))
+            if scale > 1.0:
+                # ||h_d||^2 ||a||^2 overflows, which the kernels refuse:
+                # scale the leakage direction alone
+                with pytest.raises(ValueError, match="must be finite"):
+                    random_feasible_search(both, 2049, RngState(9, i))
+                both = r.replace(H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
+            rows = assert_exhaustive(both, 2049, RngState(9, i))
             assert rows is not None
-            assert_exhaustive(r.replace(h_d=scale * r.h_d), 2049,
-                              lambda: philox_generator(9, i))
+            assert_exhaustive(r.replace(h_d=scale * r.h_d), 2049, RngState(9, i))
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_scales_past_the_filter_range_scan_every_candidate(self, scale):
         r = realization_at(2, 0)
-        r = r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)
-        assert assert_exhaustive(r, 2049, lambda: philox_generator(9, 0)) is None
+        scaled = [r.replace(h_d=scale * r.h_d, H=scale * r.H, epsilon=scale ** 2 * r.epsilon)]
+        if scale > 1.0:
+            # ||h_d||^2 ||a||^2 overflows, which the kernels refuse: take
+            # ||h_d||^2 and ||a||^2 past 1 / _SAMPLE_FLOOR one at a time
+            with pytest.raises(ValueError, match="must be finite"):
+                random_feasible_search(scaled[0], 2049, RngState(9, 0))
+            scaled = [r.replace(h_d=scale * r.h_d),
+                      r.replace(H=scale * r.H, epsilon=scale ** 2 * r.epsilon)]
+        for each in scaled:
+            assert assert_exhaustive(each, 2049, RngState(9, 0)) is None
 
     @pytest.mark.parametrize("n_t", [2, 8])
     def test_no_leakage_direction_and_zero_cap(self, n_t):
@@ -302,13 +360,12 @@ class TestRandomFeasibleSearchIsExhaustive:
         # mean "no back-off", not a NaN that drops every candidate
         r = realization_at(n_t, 0)
         r = r.replace(H=np.zeros_like(r.H), epsilon=0.0)
-        rows = assert_exhaustive(r, 2049, lambda: philox_generator(10, 0))
+        rows = assert_exhaustive(r, 2049, RngState(10, 0))
         assert rows is not None and 1 <= len(rows) <= 20
 
     def test_zero_channel_ties_every_candidate(self):
         r = realization_at(3, 0)
-        assert_exhaustive(r.replace(h_d=np.zeros_like(r.h_d)), 2049,
-                          lambda: philox_generator(11, 0))
+        assert_exhaustive(r.replace(h_d=np.zeros_like(r.h_d)), 2049, RngState(11, 0))
 
     @pytest.mark.parametrize("n_t", [2, 3])
     @pytest.mark.parametrize("samples", [2047, 2048, 2049, 4100])
@@ -323,8 +380,8 @@ class TestRandomFeasibleSearchIsExhaustive:
         for i in range(2):
             u, u2 = rng.random((samples, n_t)), rng.random(samples * n_t)
             u[zeros] = 0.0
-            rows = assert_exhaustive(realization_at(n_t, i), samples,
-                                     lambda: _Uniforms(u.ravel(), u2))
+            rows = assert_exhaustive(realization_at(n_t, i), samples, RngState(0),
+                                     feed(monkeypatch, u, u2))
             assert set(zeros) <= set(rows) and len(rows) <= len(zeros) + 20
 
     def test_all_zero_candidate_rows(self, monkeypatch):
@@ -335,11 +392,11 @@ class TestRandomFeasibleSearchIsExhaustive:
         rng = np.random.default_rng(12)
         u, u2 = rng.random((samples, n_t)), rng.random(samples * n_t)
         u[[0, 5, 2047, 2048, samples - 1]] = 0.0
-        rows = assert_exhaustive(realization_at(n_t, 1), samples,
-                                 lambda: _Uniforms(u.ravel(), u2))
+        rows = assert_exhaustive(realization_at(n_t, 1), samples, RngState(0),
+                                 feed(monkeypatch, u, u2))
         assert {0, 5, 2047, 2048, samples - 1} <= set(rows)
 
-    def test_near_ties_below_float32_error(self):
+    def test_near_ties_below_float32_error(self, monkeypatch):
         # Two candidates: B has every phase just past a point where float32
         # rounding flips, on its side of higher gain, and A just before it,
         # so float32 trig puts B ahead by about 1e-6. A's radii make it win
@@ -365,17 +422,10 @@ class TestRandomFeasibleSearchIsExhaustive:
                                if (d := gain(ua, u2_a) - gain_b) > 0.0),
                               key=lambda pair: pair[0])
             assert margin < 1e-9 * gain_b
-            draw = (np.concatenate((u_a, u)), np.concatenate((u2_a, u2_b)))
-            rows = assert_exhaustive(r, 2, lambda: _Uniforms(*draw))
+            draw = feed(monkeypatch, np.concatenate((u_a, u)),
+                        np.concatenate((u2_a, u2_b)))
+            rows = assert_exhaustive(r, 2, RngState(0), draw)
             assert list(rows) == [0, 1]
-
-    def test_generator_ends_where_the_draw_ends(self, canonical):
-        gen = philox_generator(77, 0)
-        random_feasible_search(canonical, 3001, gen)
-        ref = philox_generator(77, 0)
-        ref.random(3001 * 2)
-        ref.random(3001 * 2)
-        np.testing.assert_array_equal(gen.random(5), ref.random(5))
 
 
 def test_float32_trig_error_is_inside_the_filter_bound():
